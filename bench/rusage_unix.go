@@ -1,0 +1,26 @@
+//go:build unix
+
+package main
+
+import (
+	"syscall"
+	"time"
+)
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// peakRSSMiB is the process's high-water resident set (Linux reports KiB).
+func peakRSSMiB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) / 1024
+}
