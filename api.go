@@ -48,7 +48,11 @@ type Algorithm int
 
 // Rendering strategies.
 const (
-	Serial Algorithm = iota
+	// AlgorithmAuto, the zero value, leaves the choice to whoever consumes
+	// the Config: a Renderer built from it renders with Serial, the render
+	// service (internal/server) serves with NewParallel.
+	AlgorithmAuto Algorithm = iota
+	Serial
 	OldParallel
 	NewParallel
 	RayCast // the image-order baseline, for comparison
@@ -56,6 +60,8 @@ const (
 
 func (a Algorithm) String() string {
 	switch a {
+	case AlgorithmAuto:
+		return "auto"
 	case Serial:
 		return "serial"
 	case OldParallel:
@@ -201,9 +207,9 @@ func ParseTransfer(s string) (Transfer, error) {
 
 // Config configures a Renderer.
 type Config struct {
-	Algorithm Algorithm
-	Procs     int      // workers for the parallel algorithms (default 1)
-	Transfer  Transfer // classification preset
+	Algorithm Algorithm // AlgorithmAuto (the zero value) renders with Serial
+	Procs     int       // workers for the parallel algorithms (default 1)
+	Transfer  Transfer  // classification preset
 	// Kernel selects the pixel-kernel tier (resolved once at renderer
 	// construction; see the Kernel constants). The ray-casting baseline
 	// ignores it.
@@ -267,7 +273,11 @@ type Renderer struct {
 	sr  *telemetry.FrameSpans // nil unless a span recorder is attached
 }
 
-// Image is a rendered frame.
+// Image is a rendered frame. The parallel algorithms may hand out the
+// renderer's own output buffer, reused frame after frame (NewParallel
+// does): such an Image is valid until the next Render or RenderCtx call
+// on the same Renderer. Read it out (WritePPM, WritePNG, At) before
+// rendering again and, with a RendererPool, before Release.
 type Image struct{ f *img.Final }
 
 // Width returns the image width in pixels.
@@ -279,10 +289,12 @@ func (im *Image) Height() int { return im.f.H }
 // At returns the 8-bit RGB value of pixel (x, y).
 func (im *Image) At(x, y int) (r, g, b uint8) { return im.f.AtRGB(x, y) }
 
-// WritePPM writes the image as binary PPM.
+// WritePPM writes the image as binary PPM (P6) in a single Write.
 func (im *Image) WritePPM(w io.Writer) error { return im.f.WritePPM(w) }
 
-// WritePNG writes the image as PNG.
+// WritePNG writes the image as an 8-bit RGB PNG in a single Write. The
+// bytes are a pure function of the pixels: Up filter on every row, one
+// level-1 deflate stream (see internal/img).
 func (im *Image) WritePNG(w io.Writer) error { return im.f.WritePNG(w) }
 
 // NonBlackPixels counts pixels with any non-zero channel.
@@ -378,6 +390,9 @@ func newRenderer(v *vol.Volume, cfg Config) (*Renderer, error) {
 func newRendererFrom(r *render.Renderer, cfg Config) *Renderer {
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
+	}
+	if cfg.Algorithm == AlgorithmAuto {
+		cfg.Algorithm = Serial
 	}
 	re := &Renderer{cfg: cfg, r: r}
 	if cfg.CollectStats && cfg.Algorithm != RayCast {
@@ -486,7 +501,8 @@ func (re *Renderer) renderRayCast(yaw, pitch float64, cnt *raycast.Counters) (ou
 // scanline of work per worker and returns ctx's error; a panic anywhere
 // in the pipeline is recovered into a *render.FrameError, after which the
 // renderer remains usable and its next frame renders byte-identically.
-// On error the returned Image is nil.
+// On error the returned Image is nil. The returned Image of the parallel
+// algorithms is valid until the next render on this Renderer (see Image).
 func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*Image, FrameInfo, error) {
 	yaw := yawDeg * math.Pi / 180
 	pitch := pitchDeg * math.Pi / 180

@@ -230,3 +230,20 @@ func TestRunFigureCSV(t *testing.T) {
 		t.Fatalf("CSV header missing: %q", s[:min(len(s), 150)])
 	}
 }
+
+// TestAlgorithmAutoRendersSerial pins the zero value's library meaning:
+// a Config that names no algorithm renders with Serial, as it did when
+// Serial was the zero value itself.
+func TestAlgorithmAutoRendersSerial(t *testing.T) {
+	r := NewMRIPhantom(16, Config{CollectStats: true})
+	r.Render(30, 15)
+	if got := r.LastBreakdown().Frame().Algorithm; got != "serial" {
+		t.Fatalf("Config{} rendered with %q, want serial", got)
+	}
+	if AlgorithmAuto.String() != "auto" {
+		t.Fatalf("AlgorithmAuto.String() = %q", AlgorithmAuto.String())
+	}
+	if _, err := ParseAlgorithm("auto"); err == nil {
+		t.Fatal(`ParseAlgorithm accepts "auto": the zero value is not a request parameter`)
+	}
+}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -8,8 +9,10 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"shearwarp/internal/server"
@@ -506,5 +509,73 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestDeclaredLengthBody covers the path every render body takes now
+// that shearwarpd always sets Content-Length: the body is read into one
+// buffer of the declared size, arrives intact, leaves the backend
+// connection reusable, and still honours the MaxBodyBytes cap.
+func TestDeclaredLengthBody(t *testing.T) {
+	back := newFakeBackend(t)
+	payload := make([]byte, 100_000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var mu sync.Mutex
+	conns := map[string]bool{}
+	back.setHandler(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		conns[r.RemoteAddr] = true
+		mu.Unlock()
+		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+		w.Write(payload)
+	})
+	g := newTestGateway(t, []*fakeBackend{back}, nil)
+	for i := 0; i < 5; i++ {
+		resp, body := gwGet(t, g, "/render?volume=mri")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("request %d: status %d, %d body bytes, want 200 and the backend's %d bytes",
+				i, resp.StatusCode, len(body), len(payload))
+		}
+	}
+	mu.Lock()
+	if len(conns) != 1 {
+		t.Errorf("5 sequential requests used %d backend connections, want 1 (keep-alive)", len(conns))
+	}
+	mu.Unlock()
+
+	small := newTestGateway(t, []*fakeBackend{back}, func(c *Config) { c.MaxBodyBytes = 1000 })
+	if resp, body := gwGet(t, small, "/render?volume=mri"); resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("body over MaxBodyBytes answered %d (%.80s), want 502", resp.StatusCode, body)
+	}
+}
+
+// TestShortDeclaredBodyIsTruncation: a backend that dies after sending
+// part of the length it declared is a retryable truncation, whether the
+// connection breaks or closes cleanly.
+func TestShortDeclaredBodyIsTruncation(t *testing.T) {
+	backs := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	g := newTestGateway(t, backs, nil)
+	owner, other := affinityBackend(t, g, backs, "mri")
+	owner.setHandler(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "5000")
+		w.Write(make([]byte, 1200))
+		panic(http.ErrAbortHandler) // drop the connection mid-body
+	})
+	resp, body := gwGet(t, g, "/render?volume=mri&yaw=30&pitch=15")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("render with a truncating owner = %d (%s), want 200 via retry", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Shearwarp-Backend"); got != other.url {
+		t.Fatalf("served by %q, want the healthy backend %q", got, other.url)
+	}
+
+	for _, tail := range []error{io.EOF, io.ErrUnexpectedEOF} {
+		short := &http.Response{ContentLength: 10, Body: io.NopCloser(io.MultiReader(
+			bytes.NewReader([]byte("1234")), iotest.ErrReader(tail)))}
+		if b, err := readBody(short, 1<<20); err != nil || len(b) != 4 {
+			t.Errorf("body ending in %v after 4 of 10 bytes: readBody = %d bytes, %v; want 4 bytes for the length check to reject", tail, len(b), err)
+		}
 	}
 }

@@ -511,7 +511,7 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 		}
 		return res
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1))
+	body, rerr := readBody(resp, g.cfg.MaxBodyBytes)
 	resp.Body.Close()
 	res.dur = time.Since(t0)
 	if rerr != nil {
@@ -570,6 +570,23 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 		}
 	}
 	return res
+}
+
+// readBody buffers a backend response body, reading at most limit+1
+// bytes. A response that declares its length (every render body does) is
+// read into one buffer of that size; a body that ends early comes back
+// short without an error, for the caller's length check to report as a
+// truncation. Only a body of undeclared length grows through io.ReadAll.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > limit {
+		return io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	}
+	body := make([]byte, resp.ContentLength)
+	n, err := io.ReadFull(resp.Body, body)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return body[:n], err
 }
 
 // logger is the slice of *slog.Logger the proxy needs (lets tests pass

@@ -1,15 +1,12 @@
 // Package img provides the two image types of the shear-warp pipeline: the
 // intermediate (composited, sheared) image with its opaque-pixel skip links
-// for early ray termination, and the final warped image, plus PPM output
-// and comparison helpers used by the cross-algorithm equality tests.
+// for early ray termination, and the final warped image, plus its PPM and
+// PNG encoders (encode.go) and the comparison helpers used by the
+// cross-algorithm equality tests.
 package img
 
 import (
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
-	"io"
 	"math"
 )
 
@@ -172,24 +169,6 @@ func (f *Final) AtRGB(x, y int) (r, g, b uint8) {
 	return f.Pix[p], f.Pix[p+1], f.Pix[p+2]
 }
 
-// WritePPM serializes the image as binary PPM (P6).
-func (f *Final) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", f.W, f.H); err != nil {
-		return err
-	}
-	row := make([]byte, 3*f.W)
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			p := 4 * (y*f.W + x)
-			row[3*x], row[3*x+1], row[3*x+2] = f.Pix[p], f.Pix[p+1], f.Pix[p+2]
-		}
-		if _, err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Equal reports whether two final images are identical in size and pixels.
 func Equal(a, b *Final) bool {
 	if a.W != b.W || a.H != b.H {
@@ -257,18 +236,3 @@ func (f *Final) NonBlackCount() int {
 	}
 	return n
 }
-
-// RGBA converts the final image to a standard library image (alpha 255).
-func (f *Final) RGBA() *image.RGBA {
-	out := image.NewRGBA(image.Rect(0, 0, f.W, f.H))
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			p := 4 * (y*f.W + x)
-			out.SetRGBA(x, y, color.RGBA{R: f.Pix[p], G: f.Pix[p+1], B: f.Pix[p+2], A: 255})
-		}
-	}
-	return out
-}
-
-// WritePNG serializes the image as PNG.
-func (f *Final) WritePNG(w io.Writer) error { return png.Encode(w, f.RGBA()) }

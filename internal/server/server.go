@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,8 +65,11 @@ import (
 // Config tunes the service. The zero value gets sensible defaults from
 // New.
 type Config struct {
-	Procs     int                 // workers inside each parallel render (default 4)
-	Algorithm shearwarp.Algorithm // default algorithm when a request omits ?alg (default NewParallel)
+	Procs int // workers inside each parallel render (default 4)
+	// Algorithm renders requests that omit ?alg. The zero value,
+	// shearwarp.AlgorithmAuto, means NewParallel here; Serial stays
+	// selectable by naming it, in the Config or per request.
+	Algorithm shearwarp.Algorithm
 	// Kernel selects the pixel-kernel tier every renderer the service
 	// builds runs with (KernelAuto = $SHEARWARP_KERNEL, else scalar).
 	// The resolved tier is reported by /metrics.
@@ -86,7 +90,7 @@ type Config struct {
 	QueueTimeout      time.Duration // longest admission wait (default 5s)
 	RenderTimeout     time.Duration // request deadline to start rendering (default 30s)
 	CacheBytes        int64         // volcache budget (default 256 MiB; <0 = unbounded)
-	CollectStats      bool          // per-frame perf breakdowns feeding /metrics (default on via New)
+	CollectStats      bool          // per-frame perf breakdowns feeding /metrics' phases (off in the zero value; shearwarpd's -stats turns it on)
 	OpacityCorrection bool          // forwarded to every renderer
 	// WatchdogTimeout, when positive, bounds how long a frame may render
 	// after it has started: a frame still running at the deadline is
@@ -120,6 +124,9 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.Procs < 1 {
 		c.Procs = 4
+	}
+	if c.Algorithm == shearwarp.AlgorithmAuto {
+		c.Algorithm = shearwarp.NewParallel
 	}
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 8
@@ -164,6 +171,10 @@ type poolKey struct {
 	mode      shearwarp.Mode
 	iso       uint8
 }
+
+// bodyPool recycles the buffers encoded frames wait in between the render
+// goroutine and the handler's single Write.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // poolEntry lazily builds its pool once; concurrent requests wait on the
 // same build.
@@ -722,48 +733,65 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 
 	// Render asynchronously so the handler can react to cancellation and
 	// the watchdog while the frame runs. The goroutine — not the handler —
-	// owns the renderer, the admission slot and the in-flight count, and
-	// gives all three back the moment RenderCtx returns: on cancellation
-	// that is within one scanline of work per worker, so an abandoned
-	// request frees its resources long before the handler's HTTP deadline
-	// machinery would. A panicked frame additionally swaps the renderer
-	// for a freshly built one before the slot comes back.
+	// owns the renderer, the admission slot and the in-flight count. The
+	// parallel renderers return their reusable output image, so the
+	// goroutine also encodes it, into a pooled buffer, before it gives the
+	// renderer back: released any earlier, the next request would render
+	// into the image being encoded. All three come back the moment the
+	// frame is encoded or RenderCtx fails: on cancellation that is within
+	// one scanline of work per worker, so an abandoned request frees its
+	// resources long before the handler's HTTP deadline machinery would. A
+	// panicked frame additionally swaps the renderer for a freshly built
+	// one before the slot comes back.
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
 	type renderResult struct {
-		im   *shearwarp.Image
+		body *bytes.Buffer // the encoded frame; the receiver returns it to bodyPool
+		w, h int
 		info shearwarp.FrameInfo
 		err  error
 	}
 	done := make(chan renderResult, 1)
 	go func() {
-		im, info, err := ren.RenderCtx(rctx, yaw, pitch)
+		var res renderResult
+		var im *shearwarp.Image
+		im, res.info, res.err = ren.RenderCtx(rctx, yaw, pitch)
 		// Detach the span recorder before the renderer can serve another
 		// request; RenderCtx has returned, so no worker records past here.
 		if rt != nil {
 			ren.SetSpanRecorder(nil)
 		}
 		var fe *render.FrameError
-		if errors.As(err, &fe) {
+		if errors.As(res.err, &fe) {
 			s.panics.Add(1)
 			if derr := pool.Discard(ren); derr == nil {
 				s.replaced.Add(1)
 			}
 		} else {
-			if err == nil {
+			if res.err == nil {
 				s.frames.Add(1)
 				if bd := ren.LastBreakdown(); bd != nil {
 					fb := bd.Frame()
 					s.cum.Add(fb)
 					s.tel.observePhases(mode, fb)
 				}
+				encStart := time.Now()
+				res.w, res.h = im.Width(), im.Height()
+				res.body = bodyPool.Get().(*bytes.Buffer)
+				res.body.Reset()
+				if format == "png" {
+					res.err = im.WritePNG(res.body)
+				} else {
+					res.err = im.WritePPM(res.body)
+				}
+				rt.record("encode", encStart, time.Since(encStart))
 			}
 			pool.Release(ren)
 		}
 		release()
 		s.inflight.Done()
 		rt.goroutineDone(time.Now())
-		done <- renderResult{im, info, err}
+		done <- res
 	}()
 
 	var wdC <-chan time.Time
@@ -806,6 +834,17 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if res.body != nil {
+		defer bodyPool.Put(res.body)
+		if res.err != nil {
+			// The frame rendered and could not be encoded. Nothing has been
+			// sent yet, so the client gets a status instead of a short body.
+			log.Warn("encoding the frame failed", "format", format, "err", res.err)
+			rt.handlerFinishes(http.StatusInternalServerError, time.Now())
+			httpError(w, http.StatusInternalServerError, "encoding %s: %v", format, res.err)
+			return
+		}
+	}
 	if res.err != nil {
 		var ve *shearwarp.ValidationError
 		var fe *render.FrameError
@@ -833,26 +872,27 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		}
 		log.Error("render failed", "status", code, "err", res.err,
 			"duration_ms", float64(time.Since(t0))/1e6)
-		rt.handlerFinishes(code, time.Time{}, 0, time.Now())
+		rt.handlerFinishes(code, time.Now())
 		return
 	}
 
-	im, info := res.im, res.info
 	w.Header().Set("X-Shearwarp-Algorithm", alg.String())
 	w.Header().Set("X-Shearwarp-Mode", mode.String())
-	w.Header().Set("X-Shearwarp-Samples", strconv.FormatInt(info.Samples, 10))
-	w.Header().Set("X-Shearwarp-Size", fmt.Sprintf("%dx%d", im.Width(), im.Height()))
-	encStart := time.Now()
+	w.Header().Set("X-Shearwarp-Samples", strconv.FormatInt(res.info.Samples, 10))
+	w.Header().Set("X-Shearwarp-Size", fmt.Sprintf("%dx%d", res.w, res.h))
 	if format == "png" {
 		w.Header().Set("Content-Type", "image/png")
-		im.WritePNG(w)
 	} else {
 		w.Header().Set("Content-Type", "image/x-portable-pixmap")
-		im.WritePPM(w)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(res.body.Len()))
+	if _, err := w.Write(res.body.Bytes()); err != nil {
+		// Too late to change the status; the client is usually gone.
+		log.Warn("writing the response body failed", "bytes", res.body.Len(), "err", err)
 	}
 	now := time.Now()
-	rt.handlerFinishes(http.StatusOK, encStart, now.Sub(encStart), now)
-	log.Info("render complete", "samples", info.Samples,
+	rt.handlerFinishes(http.StatusOK, now)
+	log.Info("render complete", "samples", res.info.Samples,
 		"duration_ms", float64(now.Sub(t0))/1e6)
 }
 

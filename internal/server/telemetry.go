@@ -119,8 +119,8 @@ func (t *serverTelemetry) onCacheBuild(k volcache.Key, d time.Duration, err erro
 //     stores its HTTP status and CASes owner 0->1: the render goroutine
 //     finalizes when the frame eventually drains.
 //   - The render goroutine, done first, stashes the built trace and
-//     CASes owner 0->2: the handler finalizes after writing (and
-//     timing) the response body.
+//     CASes owner 0->2: the handler finalizes after writing the
+//     response body.
 //   - Whoever loses the CAS observes the winner's state through the
 //     atomic's happens-before edge and finalizes itself.
 type reqTrace struct {
@@ -212,9 +212,10 @@ func (rt *reqTrace) handlerExits(status int, now time.Time) {
 }
 
 // goroutineDone is called by the render goroutine after the frame
-// drained and the worker spans were copied out. If the handler already
-// left, the goroutine finalizes with the handler's status; otherwise the
-// trace is published for the handler to finish after encoding. Nil-safe.
+// drained (and, on success, was encoded). If the handler already left,
+// the goroutine finalizes with the handler's status; otherwise the trace
+// is published for the handler to finish after writing the response.
+// Nil-safe.
 func (rt *reqTrace) goroutineDone(now time.Time) {
 	if rt == nil {
 		return
@@ -228,21 +229,15 @@ func (rt *reqTrace) goroutineDone(now time.Time) {
 }
 
 // handlerFinishes finalizes on the handler's normal path: the render
-// goroutine has published the trace (owner == 2), the response has been
-// written, and the encode span is appended. Nil-safe.
-func (rt *reqTrace) handlerFinishes(status int, encodeStart time.Time, encodeDur time.Duration, now time.Time) {
+// goroutine has published the trace (owner == 2, its encode span
+// included) and the response has been written. Nil-safe.
+func (rt *reqTrace) handlerFinishes(status int, now time.Time) {
 	if rt == nil {
 		return
 	}
 	tr := rt.tr
 	if tr == nil {
 		return // defensive: goroutine result consumed without a publish
-	}
-	if encodeDur > 0 {
-		tr.Spans = append(tr.Spans, telemetry.Span{
-			Name: "encode", Cat: telemetry.CatRequest, Worker: -1,
-			StartNS: rt.tel.sinceEpochNS(encodeStart), DurNS: int64(encodeDur),
-		})
 	}
 	tr.Status = status
 	tr.DurNS = rt.tel.sinceEpochNS(now) - rt.startNS

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"shearwarp/internal/alloctest"
 	"shearwarp/internal/classify"
 	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/newalg"
@@ -56,7 +57,7 @@ func TestPerfDisabledZeroAllocs(t *testing.T) {
 	nr := warmRenderer(nil)
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.PerRun(20, func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
@@ -71,7 +72,7 @@ func TestPerfEnabledSteadyStateZeroAllocs(t *testing.T) {
 	nr := warmRenderer(perf.NewCollector(4))
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.PerRun(20, func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
@@ -115,7 +116,7 @@ func TestSpansDetachedZeroAllocs(t *testing.T) {
 		t.Fatal("attached recorder captured no spans")
 	}
 	nr.Spans = nil
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.PerRun(20, func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
@@ -133,7 +134,7 @@ func TestSpansAttachedSteadyStateZeroAllocs(t *testing.T) {
 	nr.Spans = fs
 	yaw := 50 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.PerRun(20, func() {
 		fs.Reset(epoch)
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
@@ -190,7 +191,7 @@ func TestPackedKernelZeroAllocs(t *testing.T) {
 	nr := warmKernelRenderer(nil, cpudispatch.KernelPacked)
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := alloctest.PerRun(20, func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
@@ -242,7 +243,7 @@ func TestModeZeroAllocs(t *testing.T) {
 			nr := warmOptionsRenderer(nil, tc.opt)
 			yaw := 77 * math.Pi / 180
 			pitch := 15 * math.Pi / 180
-			allocs := testing.AllocsPerRun(20, func() {
+			allocs := alloctest.PerRun(20, func() {
 				yaw += 3 * math.Pi / 180
 				nr.RenderFrame(yaw, pitch)
 			})

@@ -286,7 +286,8 @@ func (p *RendererPool) Acquire(ctx context.Context) (*Renderer, error) {
 
 // Release returns a renderer to the pool. Every Acquire must be paired
 // with exactly one Release, even after Close (Close waits for outstanding
-// renderers to come back).
+// renderers to come back). Finish reading the renderer's last Image
+// first: the next holder's frame may overwrite it (see Image).
 func (p *RendererPool) Release(r *Renderer) {
 	p.free <- r // cap == size and Acquire/Release pair up, so never blocks
 }
