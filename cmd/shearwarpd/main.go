@@ -58,7 +58,7 @@ func main() {
 	kf.Register(flag.CommandLine)
 	var mf cli.ModeFlag
 	mf.Register(flag.CommandLine)
-	procs := flag.Int("procs", 4, "workers inside each parallel render")
+	procs := flag.Int("procs", 0, "workers inside each parallel render (0 = GOMAXPROCS)")
 	pool := flag.Int("pool", 0, "renderers per (volume, transfer, algorithm) pool (0 = max-concurrent)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "frames rendering at once")
 	maxQueue := flag.Int("max-queue", 0, "requests waiting for admission before 503 (0 = 4*max-concurrent)")
@@ -175,7 +175,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("shearwarpd: serving %v on %s (alg %s, %d procs, %d concurrent)\n",
-		srv.Volumes(), *addr, alg, *procs, *maxConcurrent)
+		srv.Volumes(), *addr, alg, srv.Procs(), *maxConcurrent)
 
 	select {
 	case err := <-errc:

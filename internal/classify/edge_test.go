@@ -24,12 +24,12 @@ func TestMRITransferBreakpoints(t *testing.T) {
 	}{
 		{"air", 0, 0},
 		{"below-threshold", 59, 0},
-		{"threshold-exact", 60, 0},             // ramp(60, 60, 100) = 0
-		{"soft-tissue-mid", 80, 0.5 * 0.25},    // halfway up the first ramp
-		{"join-100", 100, 0.25},                // first ramp tops out where the second starts
-		{"bright-mid", 130, 0.25 + 0.5*0.45},   // halfway up the second ramp
-		{"join-160", 160, 0.7},                 // second ramp tops out where the third starts
-		{"saturated", 255, 1.0},                // 0.7 + ramp(255,160,255)*0.3
+		{"threshold-exact", 60, 0},           // ramp(60, 60, 100) = 0
+		{"soft-tissue-mid", 80, 0.5 * 0.25},  // halfway up the first ramp
+		{"join-100", 100, 0.25},              // first ramp tops out where the second starts
+		{"bright-mid", 130, 0.25 + 0.5*0.45}, // halfway up the second ramp
+		{"join-160", 160, 0.7},               // second ramp tops out where the third starts
+		{"saturated", 255, 1.0},              // 0.7 + ramp(255,160,255)*0.3
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -167,11 +167,11 @@ func TestSingleVoxelRamp(t *testing.T) {
 		density uint8
 		visible bool
 	}{
-		{1, false},   // non-air but below the transfer threshold
-		{59, false},  // just under the threshold
-		{61, false},  // ramp(61)*0.25 ~ 0.006 -> quantizes under MinOpacity 4
-		{80, true},   // mid-ramp
-		{255, true},  // saturated
+		{1, false},  // non-air but below the transfer threshold
+		{59, false}, // just under the threshold
+		{61, false}, // ramp(61)*0.25 ~ 0.006 -> quantizes under MinOpacity 4
+		{80, true},  // mid-ramp
+		{255, true}, // saturated
 	} {
 		data := make([]uint8, n*n*n)
 		data[center] = tc.density

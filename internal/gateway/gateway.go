@@ -199,7 +199,9 @@ type backend struct {
 	healthy  atomic.Bool  // health checker's verdict
 	breaker  *breaker
 
-	// health-loop-local streak counters (only the loop touches them)
+	// Probe streaks. The health loop and CheckNow callers (tests,
+	// /healthz?check=1) can probe one backend at the same time.
+	checkMu              sync.Mutex
 	consecFail, consecOK int
 
 	// per-backend counters for /metrics
@@ -249,6 +251,12 @@ type Gateway struct {
 
 	hRender  *telemetry.Histogram // end-to-end /render latency (success)
 	hAttempt *telemetry.Histogram // per-attempt latency (success) — feeds the hedge delay
+	hedge    hedgeCache
+
+	// bodyHook, when set (tests only, before traffic), sees every pooled
+	// body buffer as it is taken (+1) and, still intact, as it is about to
+	// go back to the pool (-1).
+	bodyHook func(delta int, buf []byte)
 
 	requests   atomic.Int64 // /render requests completed
 	successes  atomic.Int64 // /render 2xx
@@ -295,6 +303,7 @@ func New(cfg Config) (*Gateway, error) {
 		hAttempt:    telemetry.NewHistogram("gateway_attempt", ""),
 		healthStop:  make(chan struct{}),
 	}
+	g.hedge.delay.Store(int64(cfg.HedgeMax))
 	if cfg.TraceRing >= 0 {
 		g.tracer = telemetry.NewTracer(cfg.TraceRing, 0, 0)
 	}
@@ -391,6 +400,8 @@ func (g *Gateway) checkBackend(b *backend) {
 			resp.Body.Close()
 		}
 	}
+	b.checkMu.Lock()
+	defer b.checkMu.Unlock()
 	if ok {
 		b.consecFail = 0
 		b.consecOK++
@@ -461,24 +472,52 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "no eligible backend"})
 }
 
+// hedgeCache holds the learned hedge delay. Every request arms its hedge
+// timer from it, so reading it is one atomic load; the quantile behind it
+// is recomputed by refreshHedgeDelay, after a response has been written.
+type hedgeCache struct {
+	delay atomic.Int64 // ns; HedgeMax until hedgeMinSamples attempts are in
+
+	mu   sync.Mutex // serializes refreshes
+	seen int64      // hAttempt.Count() at the last refresh
+	at   time.Time  // when that was
+}
+
+const (
+	hedgeMinSamples   = 32                     // fewer observed attempts than this: HedgeMax
+	hedgeRefreshEvery = 32                     // new observations that force a refresh
+	hedgeRefreshAfter = 100 * time.Millisecond // age at which any new observation does
+)
+
 // hedgeDelay is the learned tail-latency threshold that arms a hedged
 // attempt: the configured quantile of successful attempt latencies,
-// clamped to [HedgeMin, HedgeMax]. Until 32 attempts have been
-// observed the ceiling is used, so a cold gateway never hedges
-// aggressively on noise.
+// clamped to [HedgeMin, HedgeMax], as of the last refresh. Until 32
+// attempts have been observed the ceiling is used, so a cold gateway never
+// hedges aggressively on noise.
 func (g *Gateway) hedgeDelay() time.Duration {
-	snap := g.hAttempt.Snapshot()
-	if snap.Count < 32 {
-		return g.cfg.HedgeMax
+	return time.Duration(g.hedge.delay.Load())
+}
+
+// refreshHedgeDelay recomputes the cached hedge delay when it has gone
+// stale: hedgeRefreshEvery attempts observed since the last refresh, or
+// any at all and hedgeRefreshAfter elapsed. handleRender calls it once the
+// client has its response, so the histogram walk is on no request's path.
+func (g *Gateway) refreshHedgeDelay(now time.Time) {
+	h := &g.hedge
+	if !h.mu.TryLock() {
+		return // someone else is refreshing
 	}
-	d := time.Duration(snap.Quantile(g.cfg.HedgeQuantile))
-	if d < g.cfg.HedgeMin {
-		d = g.cfg.HedgeMin
+	defer h.mu.Unlock()
+	n := g.hAttempt.Count()
+	if n == h.seen || (n-h.seen < hedgeRefreshEvery && now.Sub(h.at) < hedgeRefreshAfter) {
+		return
 	}
-	if d > g.cfg.HedgeMax {
-		d = g.cfg.HedgeMax
+	h.seen, h.at = n, now
+	d := g.cfg.HedgeMax
+	if n >= hedgeMinSamples {
+		d = min(max(time.Duration(g.hAttempt.Quantile(g.cfg.HedgeQuantile)), g.cfg.HedgeMin), g.cfg.HedgeMax)
 	}
-	return d
+	h.delay.Store(int64(d))
 }
 
 // jitter returns a full-jitter backoff delay for the nth retry

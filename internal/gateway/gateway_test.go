@@ -574,7 +574,9 @@ func TestShortDeclaredBodyIsTruncation(t *testing.T) {
 	for _, tail := range []error{io.EOF, io.ErrUnexpectedEOF} {
 		short := &http.Response{ContentLength: 10, Body: io.NopCloser(io.MultiReader(
 			bytes.NewReader([]byte("1234")), iotest.ErrReader(tail)))}
-		if b, err := readBody(short, 1<<20); err != nil || len(b) != 4 {
+		b, buf, err := g.readBody(short)
+		g.putBody(buf)
+		if err != nil || len(b) != 4 {
 			t.Errorf("body ending in %v after 4 of 10 bytes: readBody = %d bytes, %v; want 4 bytes for the length check to reject", tail, len(b), err)
 		}
 	}

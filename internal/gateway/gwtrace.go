@@ -142,14 +142,12 @@ func (t *gwTrace) finish(status int, now time.Time) {
 	t.release()
 }
 
-// publish builds the Trace, retains it, and recycles the recorder.
-// Runs exactly once, on whichever goroutine released last; by then no
-// goroutine can record, so reading the recorder is safe.
+// publish builds the Trace, hands it to the tracer, and recycles the
+// recorder. Runs exactly once, on whichever goroutine released last; by
+// then no goroutine can record or amend, so reading the recorder and
+// giving the attempts away is safe.
 func (t *gwTrace) publish() {
 	spans := t.spans.Spans()
-	t.mu.Lock()
-	attempts := append(make([]telemetry.AttemptRef, 0, len(t.attempts)), t.attempts...)
-	t.mu.Unlock()
 	tr := &telemetry.Trace{
 		ID:       t.id,
 		Label:    t.label,
@@ -157,8 +155,8 @@ func (t *gwTrace) publish() {
 		DurNS:    t.durNS.Load(),
 		Status:   int(t.status.Load()),
 		Dropped:  t.spans.Dropped(),
-		Spans:    append(make([]telemetry.Span, 0, len(spans)), spans...),
-		Attempts: attempts,
+		Spans:    append(t.g.tracer.SpanBuf(len(spans)), spans...),
+		Attempts: t.attempts, // every attempt has released: nothing amends them now
 	}
 	t.g.spanPool.Put(t.spans)
 	t.spans = nil

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"shearwarp/internal/server"
@@ -37,6 +39,55 @@ type bufferedResponse struct {
 	status int
 	header http.Header
 	body   []byte
+	buf    *[]byte // the pooled buffer body lives in; nil for a body of undeclared length
+}
+
+// bodyPool recycles the buffers backend bodies of declared length are
+// read into (*[]byte). A buffer has one owner at a time: the attempt that
+// took it, then the bufferedResponse that carries it from the attempt
+// through the proxy loop to the handler, and whoever holds the response
+// when it turns out nobody will read it gives the buffer back — the
+// handler after its Write, the proxy loop for failures it replaces and
+// for results it never collected, the attempt for a body it rejects.
+var bodyPool sync.Pool
+
+// takeBody returns a pooled buffer of length n.
+func (g *Gateway) takeBody(n int) *[]byte {
+	buf, _ := bodyPool.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < n {
+		// Power-of-two capacities, so that bodies of mixed sizes settle on
+		// buffers any of them fits in.
+		*buf = make([]byte, n, 1<<bits.Len(uint(n-1)))
+	}
+	*buf = (*buf)[:n]
+	if g.bodyHook != nil {
+		g.bodyHook(+1, *buf)
+	}
+	return buf
+}
+
+// putBody gives a buffer from takeBody back. Nil-safe.
+func (g *Gateway) putBody(buf *[]byte) {
+	if buf == nil {
+		return
+	}
+	if g.bodyHook != nil {
+		g.bodyHook(-1, *buf)
+	}
+	bodyPool.Put(buf)
+}
+
+// release gives the response's buffer back; its body must not be read
+// afterwards. Nil-safe, and a second release is a no-op.
+func (g *Gateway) release(resp *bufferedResponse) {
+	if resp == nil {
+		return
+	}
+	g.putBody(resp.buf)
+	resp.buf, resp.body = nil, nil
 }
 
 // attemptResult is one attempt's outcome.
@@ -93,7 +144,8 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 	// explorable at /debug/trace?id=N.
 	id := g.traceBase + g.reqSeq.Add(1)
 	t0 := time.Now()
-	key := affinityKey(r.URL.Query())
+	q := r.URL.Query()
+	key := affinityKey(q)
 	log := g.log.With("trace", id)
 	w.Header().Set(server.TraceHeader, strconv.FormatUint(id, 10))
 
@@ -105,7 +157,7 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
 			budget = time.Duration(ms) * time.Millisecond
 		}
-	} else if v := r.URL.Query().Get("budget"); v != "" {
+	} else if v := q.Get("budget"); v != "" {
 		// Bare integers are milliseconds, matching the wire header;
 		// Go duration strings ("1.5s") also work.
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
@@ -118,7 +170,8 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	tr := g.startGwTrace(id, "gw render "+key, t0)
-	res := g.proxy(ctx, r, id, tr, log)
+	res := g.proxy(ctx, key, backendPath(q), id, tr, log)
+	defer g.release(res.resp) // after the Write below has returned
 	g.requests.Add(1)
 
 	w.Header().Set("X-Shearwarp-Attempts", strconv.Itoa(res.attempts))
@@ -156,7 +209,9 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodHead {
 		w.Write(res.resp.body)
 	}
-	tr.finish(res.resp.status, time.Now())
+	now := time.Now()
+	tr.finish(res.resp.status, now)
+	g.refreshHedgeDelay(now)
 	if res.resp.status >= 200 && res.resp.status < 300 {
 		g.successes.Add(1)
 		g.hRender.Observe(time.Since(t0))
@@ -172,18 +227,54 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// backendPath is the path and query every attempt of a request sends: the
+// client's query minus budget=, which is the gateway's own parameter and
+// no part of the backend contract. It consumes q.
+func backendPath(q url.Values) string {
+	q.Del("budget")
+	if enc := q.Encode(); enc != "" {
+		return "/render?" + enc
+	}
+	return "/render"
+}
+
 // proxy runs the resilience policy for one request: pick the affinity
 // backend, retry retryable failures elsewhere with jittered backoff,
 // hedge the tail, first success wins. When tracing is on (tr non-nil)
 // the policy's own work — picks, backoffs, hedge and breaker events —
 // lands on the trace's request lane, and each attempt records its
-// phases on its ordinal's lane.
-func (g *Gateway) proxy(ctx context.Context, r *http.Request, id uint64, tr *gwTrace, log logger) proxyResult {
-	order := g.ring.order(affinityKey(r.URL.Query()))
+// phases on its ordinal's lane. The caller releases out.resp; every other
+// response an attempt buffered is released here.
+func (g *Gateway) proxy(ctx context.Context, key, path string, id uint64, tr *gwTrace, log logger) (out proxyResult) {
+	order := g.ring.order(key)
 	tried := make([]bool, len(g.backends))
 	results := make(chan *attemptResult, g.cfg.MaxAttempts+1)
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
+
+	// An attempt can finish after the loop below has returned (a hedge
+	// loser, a retry the budget cut short). over, under handMu, tells it
+	// that nobody will collect its result, so it releases its own body;
+	// what was handed over before that is drained here.
+	var handMu sync.Mutex
+	over := false
+	var last *attemptResult
+	defer func() {
+		handMu.Lock()
+		over = true
+		handMu.Unlock()
+		for drained := false; !drained; {
+			select {
+			case res := <-results:
+				g.release(res.resp)
+			default:
+				drained = true
+			}
+		}
+		if last != nil && last.resp != out.resp {
+			g.release(last.resp)
+		}
+	}()
 
 	launched, inFlight, retries := 0, 0, 0
 	var triedURLs []string
@@ -230,7 +321,7 @@ func (g *Gateway) proxy(ctx context.Context, r *http.Request, id uint64, tr *gwT
 		g.inflight.Add(1)
 		go func() {
 			defer g.inflight.Done()
-			res := g.attempt(actx, r, b, id, ordinal, hedged, tr)
+			res := g.attempt(actx, path, b, id, ordinal, hedged, tr)
 			b.inflight.Add(-1)
 			prior := b.breaker.State()
 			done(res.breakOut)
@@ -255,7 +346,13 @@ func (g *Gateway) proxy(ctx context.Context, r *http.Request, id uint64, tr *gwT
 					"class", res.class, "hedged", hedged, "retry", isRetry,
 					"err", errString(res.err))
 			}
-			results <- res
+			handMu.Lock()
+			if over {
+				g.release(res.resp)
+			} else {
+				results <- res // buffered for every attempt a request can launch
+			}
+			handMu.Unlock()
 		}()
 		return true
 	}
@@ -290,7 +387,6 @@ func (g *Gateway) proxy(ctx context.Context, r *http.Request, id uint64, tr *gwT
 		hedgeC = ht.C
 	}
 
-	var last *attemptResult
 	for {
 		select {
 		case res := <-results:
@@ -313,6 +409,9 @@ func (g *Gateway) proxy(ctx context.Context, r *http.Request, id uint64, tr *gwT
 					return g.finalFailure(last, launched, triedURLs)
 				}
 				continue
+			}
+			if last != nil {
+				g.release(last.resp)
 			}
 			last = res
 			if !res.retryable {
@@ -441,15 +540,9 @@ func (g *Gateway) overloaded(b *backend) bool {
 // is on the attempt's connect/first-byte/body phases land on its
 // ordinal's lane via httptrace (only attached when tr is non-nil, so
 // the disabled path allocates nothing extra).
-func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id uint64, ordinal int, hedged bool, tr *gwTrace) *attemptResult {
+func (g *Gateway) attempt(ctx context.Context, path string, b *backend, id uint64, ordinal int, hedged bool, tr *gwTrace) *attemptResult {
 	res := &attemptResult{b: b, ordinal: ordinal, hedged: hedged}
-	q := r.URL.Query()
-	q.Del("budget") // gateway-level; not part of the backend contract
-	u := b.url + "/render"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+path, nil)
 	if err != nil {
 		res.err, res.class, res.breakOut = err, classTransport, outcomeSuccess
 		return res
@@ -474,16 +567,35 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 
 	t0 := time.Now()
 	if tr != nil {
+		// The transport can still call back after Do has returned a
+		// cancelled attempt; once closed is set, late callbacks record
+		// nothing — the trace may already be published.
+		var mu sync.Mutex
+		closed := false
 		var connStart, gotConn, firstByte time.Time
 		ct := &httptrace.ClientTrace{
-			GetConn: func(string) { connStart = time.Now() },
+			GetConn: func(string) {
+				mu.Lock()
+				connStart = time.Now()
+				mu.Unlock()
+			},
 			GotConn: func(httptrace.GotConnInfo) {
+				mu.Lock()
+				defer mu.Unlock()
+				if closed {
+					return
+				}
 				gotConn = time.Now()
 				if !connStart.IsZero() {
 					tr.attemptSpan(ordinal, "connect", connStart, gotConn.Sub(connStart))
 				}
 			},
 			GotFirstResponseByte: func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if closed {
+					return
+				}
 				firstByte = time.Now()
 				from := gotConn
 				if from.IsZero() {
@@ -494,6 +606,9 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 		}
 		req = req.WithContext(httptrace.WithClientTrace(req.Context(), ct))
 		defer func() {
+			mu.Lock()
+			defer mu.Unlock()
+			closed = true
 			end := time.Now()
 			if !firstByte.IsZero() {
 				tr.attemptSpan(ordinal, "body", firstByte, end.Sub(firstByte))
@@ -511,9 +626,14 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 		}
 		return res
 	}
-	body, rerr := readBody(resp, g.cfg.MaxBodyBytes)
+	body, buf, rerr := g.readBody(resp)
 	resp.Body.Close()
 	res.dur = time.Since(t0)
+	defer func() {
+		if res.resp == nil {
+			g.putBody(buf) // rejected below: nobody will read it
+		}
+	}()
 	if rerr != nil {
 		res.err = rerr
 		if ctx.Err() != nil {
@@ -536,7 +656,7 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 		res.class, res.retryable, res.breakOut = classTruncated, true, outcomeFailure
 		return res
 	}
-	res.resp = &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: body}
+	res.resp = &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: body, buf: buf}
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		res.breakOut = outcomeSuccess
@@ -572,21 +692,25 @@ func (g *Gateway) attempt(ctx context.Context, r *http.Request, b *backend, id u
 	return res
 }
 
-// readBody buffers a backend response body, reading at most limit+1
-// bytes. A response that declares its length (every render body does) is
-// read into one buffer of that size; a body that ends early comes back
-// short without an error, for the caller's length check to report as a
-// truncation. Only a body of undeclared length grows through io.ReadAll.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// readBody buffers a backend response body, reading at most
+// MaxBodyBytes+1 bytes. A response that declares its length (every render
+// body does) is read into one pooled buffer of that size, returned as buf
+// for the caller to put back, on every path, once the body has been used;
+// a body that ends early comes back short without an error, for the
+// caller's length check to report as a truncation. Only a body of
+// undeclared length grows through io.ReadAll, and has no buf.
+func (g *Gateway) readBody(resp *http.Response) (body []byte, buf *[]byte, err error) {
+	limit := g.cfg.MaxBodyBytes
 	if resp.ContentLength < 0 || resp.ContentLength > limit {
-		return io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		body, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		return body, nil, err
 	}
-	body := make([]byte, resp.ContentLength)
-	n, err := io.ReadFull(resp.Body, body)
+	buf = g.takeBody(int(resp.ContentLength))
+	n, err := io.ReadFull(resp.Body, *buf)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		err = nil
 	}
-	return body[:n], err
+	return (*buf)[:n], buf, err
 }
 
 // logger is the slice of *slog.Logger the proxy needs (lets tests pass

@@ -50,7 +50,7 @@ func TestEstimateOffset(t *testing.T) {
 	// 900ns of its 1000ns round trip queueing (slack 900), the second is
 	// tight (slack 100) — the tight sample's midpoint must win.
 	off, ok = estimateOffset([]offsetSample{
-		{sendNS: 0, recvNS: 1000, backStartNS: 10_400, backEndNS: 10_500},     // slack 900
+		{sendNS: 0, recvNS: 1000, backStartNS: 10_400, backEndNS: 10_500},    // slack 900
 		{sendNS: 2000, recvNS: 3000, backStartNS: 12_050, backEndNS: 12_950}, // slack 100
 	})
 	if !ok || off != (2000+3000-12_050-12_950)/2 {

@@ -70,6 +70,16 @@ func (m *Intermediate) Resize(w, h int) {
 	}
 }
 
+// Reserve makes room for images of up to pixels pixels, so that a Resize
+// within that bound never allocates. The image's size and contents are
+// unspecified afterwards; Resize and clear before use.
+func (m *Intermediate) Reserve(pixels int) {
+	if cap(m.Links) < pixels {
+		m.Pix = make([]float32, 4*pixels)
+		m.Links = make([]int32, pixels)
+	}
+}
+
 // PixelIndex returns the flat pixel index of (u, v).
 func (m *Intermediate) PixelIndex(u, v int) int { return v*m.W + u }
 
@@ -154,6 +164,16 @@ func (f *Final) Resize(w, h int) {
 		f.Pix = f.Pix[:n]
 	} else {
 		f.Pix = make([]uint8, n)
+	}
+}
+
+// Reserve makes room for images of up to pixels pixels, so that a Resize
+// within that bound never allocates. The image's size is unspecified
+// afterwards (Resize before use); a fresh reservation is zeroed, which is
+// what keeps the never-written X bytes zero.
+func (f *Final) Reserve(pixels int) {
+	if cap(f.Pix) < 4*pixels {
+		f.Pix = make([]uint8, 4*pixels)
 	}
 }
 

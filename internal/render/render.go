@@ -7,6 +7,7 @@ package render
 
 import (
 	"context"
+	"math"
 	rtrace "runtime/trace"
 	"time"
 
@@ -206,27 +207,44 @@ func (r *Renderer) Setup(yaw, pitch float64) *Frame {
 }
 
 // SetupInto factorizes the view into an existing frame, reusing its images
-// when they exist (resized without clearing — the caller owns the clear).
-// Unlike Setup, which always allocates fresh zeroed images, this is the
-// allocation-free path for renderers that own a persistent Frame; callers
-// that hand out the final image must not reuse the frame afterwards.
+// (resized without clearing — the caller owns the clear). Unlike Setup,
+// which always allocates fresh zeroed images, this is the allocation-free
+// path for renderers that own a persistent Frame: the first call allocates
+// both images at the largest size any viewpoint of this volume can need
+// (see imageBounds), so no later frame grows them. Callers that hand out
+// the final image must not reuse the frame afterwards.
 func (r *Renderer) SetupInto(fr *Frame, yaw, pitch float64) {
 	view := xform.ViewMatrix(r.Vol.Nx, r.Vol.Ny, r.Vol.Nz, yaw, pitch)
 	fr.F = xform.Factorize(r.Vol.Nx, r.Vol.Ny, r.Vol.Nz, view)
 	fr.RV = r.Encoding(fr.F.Axis)
 	if fr.M == nil {
-		fr.M = img.NewIntermediate(fr.F.IntW, fr.F.IntH)
-	} else {
-		fr.M.Resize(fr.F.IntW, fr.F.IntH)
+		inter, final := imageBounds(r.Vol.Nx, r.Vol.Ny, r.Vol.Nz)
+		fr.M, fr.Out = new(img.Intermediate), new(img.Final)
+		fr.M.Reserve(inter)
+		fr.Out.Reserve(final)
 	}
-	if fr.Out == nil {
-		fr.Out = img.NewFinal(fr.F.FinalW, fr.F.FinalH)
-	} else {
-		fr.Out.Resize(fr.F.FinalW, fr.F.FinalH)
-	}
+	fr.M.Resize(fr.F.IntW, fr.F.IntH)
+	fr.Out.Resize(fr.F.FinalW, fr.F.FinalH)
 	fr.CorrectOpacity = r.OpacityCorrection
 	fr.Kernel = r.Kernel
 	fr.Mode = r.Mode
+}
+
+// imageBounds returns pixel counts no intermediate and no final image of an
+// nx x ny x nz volume exceeds, whatever the viewpoint. The shear
+// coefficients are at most 1 in magnitude on the principal axis, so
+// Factorize's IntW = ni + ceil(|Si|(nk-1)) + 1 is at most ni+nk, and IntH at
+// most nj+nk. The warp is two rows of a rotation applied to that rectangle,
+// so neither side of its bounding box exceeds the rectangle's diagonal.
+func imageBounds(nx, ny, nz int) (inter, final int) {
+	for _, axis := range []xform.Axis{xform.AxisX, xform.AxisY, xform.AxisZ} {
+		ni, nj, nk := xform.PermutedDims(axis, nx, ny, nz)
+		w, h := ni+nk, nj+nk
+		side := int(math.Ceil(math.Hypot(float64(w-1), float64(h-1)))) + 1
+		inter = max(inter, w*h)
+		final = max(final, side*side)
+	}
+	return inter, final
 }
 
 // FrameStats reports the modeled work of one rendered frame.

@@ -143,3 +143,42 @@ func TestCorrectionConsistentAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupIntoSizesImagesOnce sweeps a full rotation at every pitch over
+// one persistent frame: the first SetupInto reserves both images at the
+// view-independent bound of the volume, so no later viewpoint may grow
+// (reallocate) them. Non-cubic volumes make the three principal axes
+// disagree about which bound is the largest.
+func TestSetupIntoSizesImagesOnce(t *testing.T) {
+	const deg = math.Pi / 180
+	for _, v := range []*vol.Volume{
+		vol.MRIBrainDims(48, 40, 28),
+		vol.MRIBrainDims(30, 64, 41),
+		vol.CTHeadDims(64, 24, 52),
+		vol.CTHeadDims(33, 48, 64),
+	} {
+		r := New(v, Options{})
+		var fr Frame
+		r.SetupInto(&fr, 0, 0)
+		pix, links, out := cap(fr.M.Pix), cap(fr.M.Links), cap(fr.Out.Pix)
+		var maxInter, maxFinal int
+		for pitch := -90.0; pitch <= 90; pitch += 7.5 {
+			for yaw := 0.0; yaw < 360; yaw += 1.5 {
+				r.SetupInto(&fr, yaw*deg, pitch*deg)
+				if cap(fr.M.Pix) != pix || cap(fr.M.Links) != links || cap(fr.Out.Pix) != out {
+					t.Fatalf("%dx%dx%d yaw %v pitch %v: images grew after the first frame (intermediate %dx%d, final %dx%d)",
+						v.Nx, v.Ny, v.Nz, yaw, pitch, fr.M.W, fr.M.H, fr.Out.W, fr.Out.H)
+				}
+				maxInter = max(maxInter, fr.M.W*fr.M.H)
+				maxFinal = max(maxFinal, fr.Out.W*fr.Out.H)
+			}
+		}
+		// The bound is meant to be reached, not merely safe: a reservation
+		// several times the largest frame would be memory every pooled
+		// renderer pays for nothing.
+		if links > 2*maxInter || out > 4*4*maxFinal {
+			t.Errorf("%dx%dx%d: reserved %d intermediate / %d final pixels for frames of at most %d / %d",
+				v.Nx, v.Ny, v.Nz, links, out/4, maxInter, maxFinal)
+		}
+	}
+}

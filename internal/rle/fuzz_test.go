@@ -34,7 +34,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3), uint8(2), uint8(4), uint8(4), uint8(0)) // all opaque
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0}, uint8(4), uint8(3), uint8(2), uint8(4), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0xff, 1, 2, 3}, uint8(5), uint8(5), uint8(5), uint8(128), uint8(0)) // alternating runs
-	f.Add([]byte{4, 4, 4, 4, 3, 3, 3, 3}, uint8(8), uint8(2), uint8(2), uint8(4), uint8(2))     // threshold boundary
+	f.Add([]byte{4, 4, 4, 4, 3, 3, 3, 3}, uint8(8), uint8(2), uint8(2), uint8(4), uint8(2))      // threshold boundary
 	f.Fuzz(func(t *testing.T, data []byte, bx, by, bz, minOp, axisByte uint8) {
 		if len(data) == 0 {
 			t.Skip()

@@ -9,7 +9,7 @@ import (
 // BuildSnapshot identifies the running binary and its runtime
 // configuration — the "which build is misbehaving" half of an incident.
 // Static fields are read once from the embedded module build info;
-// Goroutines is live.
+// GOMAXPROCS and Goroutines are live, Procs is the serving Server's.
 type BuildSnapshot struct {
 	Version    string `json:"version"` // module version, or "devel"
 	Commit     string `json:"commit,omitempty"`
@@ -18,6 +18,7 @@ type BuildSnapshot struct {
 	OS         string `json:"os"`
 	Arch       string `json:"arch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	Procs      int    `json:"procs"` // workers inside each parallel render, as resolved from Config.Procs
 	NumCPU     int    `json:"num_cpu"`
 	Goroutines int    `json:"goroutines"`
 }

@@ -276,7 +276,7 @@ func TestBuildInfoReported(t *testing.T) {
 	if b.GoVersion == "" || !strings.HasPrefix(b.GoVersion, "go") {
 		t.Fatalf("build.go_version = %q", b.GoVersion)
 	}
-	if b.GOMAXPROCS < 1 || b.NumCPU < 1 || b.Goroutines < 1 {
+	if b.GOMAXPROCS < 1 || b.NumCPU < 1 || b.Goroutines < 1 || b.Procs != 2 {
 		t.Fatalf("implausible runtime gauges: %+v", b)
 	}
 	if b.OS == "" || b.Arch == "" || b.Version == "" {

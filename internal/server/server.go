@@ -44,6 +44,8 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,7 +67,7 @@ import (
 // Config tunes the service. The zero value gets sensible defaults from
 // New.
 type Config struct {
-	Procs int // workers inside each parallel render (default 4)
+	Procs int // workers inside each parallel render (default GOMAXPROCS: more only take turns on the cores there are)
 	// Algorithm renders requests that omit ?alg. The zero value,
 	// shearwarp.AlgorithmAuto, means NewParallel here; Serial stays
 	// selectable by naming it, in the Config or per request.
@@ -123,7 +125,7 @@ type Config struct {
 
 func (c *Config) normalize() {
 	if c.Procs < 1 {
-		c.Procs = 4
+		c.Procs = runtime.GOMAXPROCS(0)
 	}
 	if c.Algorithm == shearwarp.AlgorithmAuto {
 		c.Algorithm = shearwarp.NewParallel
@@ -304,6 +306,10 @@ func (s *Server) Volumes() []string {
 	}
 	return names
 }
+
+// Procs returns the worker count of each parallel render, as resolved
+// from Config.Procs.
+func (s *Server) Procs() int { return s.cfg.Procs }
 
 // Handler returns the service's HTTP handler (/render, /healthz,
 // /metrics).
@@ -519,8 +525,8 @@ func (s *Server) renderPool(ctx context.Context, rec *volumeRec, transfer shearw
 // parseFloat parses a required float query parameter with a default.
 // Non-finite values are rejected here, at the HTTP boundary, so they
 // surface as 400s rather than as renderer validation errors.
-func parseFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
+func parseFloat(q url.Values, name string, def float64) (float64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -553,12 +559,12 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	yaw, err := parseFloat(r, "yaw", 30)
+	yaw, err := parseFloat(q, "yaw", 30)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	pitch, err := parseFloat(r, "pitch", 15)
+	pitch, err := parseFloat(q, "pitch", 15)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -988,11 +994,13 @@ func (s *Server) cacheTenants() []TenantCacheStats {
 }
 
 func (s *Server) metricsSnapshot() MetricsSnapshot {
+	build := buildSnapshot()
+	build.Procs = s.cfg.Procs
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Kernel:        cpudispatch.Resolve(cpudispatch.Kernel(s.cfg.Kernel)).String(),
 		CPUFeatures:   shearwarp.CPUFeatures(),
-		Build:         buildSnapshot(),
+		Build:         build,
 		Frames:        s.frames.Load(),
 		Rendering:     len(s.sem),
 		Queued:        s.waiting.Load(),

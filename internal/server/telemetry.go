@@ -173,7 +173,7 @@ func (rt *reqTrace) build(durNS int64) *telemetry.Trace {
 		StartNS: rt.startNS,
 		DurNS:   durNS,
 		Dropped: rt.spans.Dropped(),
-		Spans:   append(make([]telemetry.Span, 0, len(spans)), spans...),
+		Spans:   append(rt.tel.tracer.SpanBuf(len(spans)), spans...),
 	}
 	rt.tel.spanPool.Put(rt.spans)
 	rt.spans = nil

@@ -128,6 +128,36 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
+// Quantile estimates the q-quantile (0 <= q <= 1) of the live histogram
+// in nanoseconds, like HistogramSnapshot.Quantile but straight from the
+// counters: no snapshot, no allocation. For callers that want one number
+// often (the gateway's hedge delay), not a consistent set of them.
+func (h *Histogram) Quantile(q float64) int64 {
+	if h == nil {
+		return 0
+	}
+	target := quantileRank(q, h.count.Load())
+	if target == 0 {
+		return 0
+	}
+	var cum int64
+	for i := range h.buckets {
+		if cum += h.buckets[i].Load(); cum >= target {
+			return bucketUpper(i)
+		}
+	}
+	return bucketUpper(numBuckets - 1)
+}
+
+// quantileRank is the 1-based rank of the observation a q-quantile over
+// count observations reports, clamped to [1, count]; 0 when there are none.
+func quantileRank(q float64, count int64) int64 {
+	if count <= 0 {
+		return 0
+	}
+	return min(max(int64(math.Ceil(q*float64(count))), 1), count)
+}
+
 // Snapshot captures the histogram's current state. Because recording is
 // three independent atomic adds, a snapshot taken mid-Observe can be
 // torn by one in-flight observation (count and buckets may differ by
@@ -180,15 +210,12 @@ func (s *HistogramSnapshot) Merge(other *HistogramSnapshot) {
 // observation, so the relative error is bounded by the bucket scheme's
 // 6.25%. Returns 0 on an empty snapshot.
 func (s *HistogramSnapshot) Quantile(q float64) int64 {
-	if s == nil || s.Count <= 0 || len(s.Counts) == 0 {
+	if s == nil || len(s.Counts) == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(q * float64(s.Count)))
-	if target < 1 {
-		target = 1
-	}
-	if target > s.Count {
-		target = s.Count
+	target := quantileRank(q, s.Count)
+	if target == 0 {
+		return 0
 	}
 	var cum int64
 	for i, c := range s.Counts {

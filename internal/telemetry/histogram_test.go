@@ -56,6 +56,9 @@ func TestHistogramQuantiles(t *testing.T) {
 	}{{0.5, 500_000}, {0.9, 900_000}, {0.99, 990_000}, {0.999, 999_000}}
 	for _, c := range checks {
 		got := s.Quantile(c.q)
+		if live := h.Quantile(c.q); live != got {
+			t.Errorf("p%g straight from the histogram = %d ns, from its snapshot %d", c.q*100, live, got)
+		}
 		if relErr := math.Abs(float64(got-c.want)) / float64(c.want); relErr > 1.0/subCount {
 			t.Errorf("p%g = %d ns, want %d within %.2f%%", c.q*100, got, c.want, 100.0/subCount)
 		}
@@ -77,6 +80,9 @@ func TestHistogramEdge(t *testing.T) {
 	s := nilH.Snapshot()
 	if s.Quantile(0.5) != 0 || s.MeanNS() != 0 || s.MaxNS() != 0 {
 		t.Fatal("nil snapshot not empty")
+	}
+	if nilH.Quantile(0.5) != 0 || NewHistogram("empty", "").Quantile(0.5) != 0 {
+		t.Fatal("quantile of no observations is not 0")
 	}
 
 	h := NewHistogram("edge", "")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -160,6 +161,11 @@ type AttemptRef struct {
 //   - slow: the slowN largest-duration traces (tail latency).
 //
 // A trace can appear in several samples; Traces deduplicates.
+//
+// The tracer is the only owner of what it retains: Add hands a trace over
+// for good, and readers get copies. That is what lets the span slice of a
+// trace that has aged out of every sample back the next trace (SpanBuf)
+// instead of every request allocating its own.
 type Tracer struct {
 	epoch time.Time
 	seq   atomic.Uint64
@@ -172,7 +178,13 @@ type Tracer struct {
 	ringN  int
 	slow   []*Trace
 	slowN  int
+	free   [][]Span // span slices of aged-out traces, for SpanBuf
 }
+
+// maxFreeSpanBufs bounds the free list. An Add retires at most two traces
+// and is preceded by one SpanBuf, so more than a few only pile up when
+// callers stop asking.
+const maxFreeSpanBufs = 8
 
 // NewTracer returns a tracer retaining ring recent traces, head
 // first-ever traces and slow slowest traces (non-positive arguments get
@@ -196,21 +208,45 @@ func (t *Tracer) Epoch() time.Time { return t.epoch }
 // NextID allocates a request/trace ID (unique within this tracer).
 func (t *Tracer) NextID() uint64 { return t.seq.Add(1) }
 
+// SpanBuf returns an empty span slice with room for n spans, to become
+// the Spans of a trace about to be Added: the slice of a trace that has
+// aged out when one is large enough, a new one otherwise. Nil-safe.
+func (t *Tracer) SpanBuf(n int) []Span {
+	if t != nil {
+		t.mu.Lock()
+		for i, buf := range t.free {
+			if cap(buf) >= n {
+				last := len(t.free) - 1
+				t.free[i], t.free[last] = t.free[last], nil
+				t.free = t.free[:last]
+				t.mu.Unlock()
+				return buf
+			}
+		}
+		t.mu.Unlock()
+	}
+	// Rounded up so that requests whose span counts differ by a steal or
+	// two can still use each other's slices.
+	return make([]Span, 0, (n+31)&^31)
+}
+
 // Add retains a completed trace under the sampling policy. The tracer
-// takes ownership of tr; do not mutate it afterwards except through
-// Amend.
+// takes ownership of tr, its spans included: the caller must not touch it
+// afterwards.
 func (t *Tracer) Add(tr *Trace) {
 	if t == nil || tr == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var out [2]*Trace // what this Add pushes out of the ring and the slow sample
 	if len(t.head) < t.headN {
 		t.head = append(t.head, tr)
 	}
 	if len(t.recent) < t.ringN {
 		t.recent = append(t.recent, tr)
 	} else {
+		out[0] = t.recent[t.next]
 		t.recent[t.next] = tr
 		t.next = (t.next + 1) % t.ringN
 	}
@@ -224,9 +260,21 @@ func (t *Tracer) Add(tr *Trace) {
 			}
 		}
 		if min >= 0 {
+			out[1] = t.slow[min]
 			t.slow[min] = tr
 		}
 	}
+	for _, old := range out {
+		if old != nil && cap(old.Spans) > 0 && len(t.free) < maxFreeSpanBufs && !t.retains(old) {
+			t.free = append(t.free, old.Spans[:0])
+			old.Spans = nil
+		}
+	}
+}
+
+// retains reports whether any sample still holds tr. Caller holds mu.
+func (t *Tracer) retains(tr *Trace) bool {
+	return slices.Contains(t.head, tr) || slices.Contains(t.recent, tr) || slices.Contains(t.slow, tr)
 }
 
 // Amend appends spans to a retained trace and updates its status and
@@ -253,10 +301,15 @@ func (t *Tracer) Amend(id uint64, status int, durNS int64, spans ...Span) {
 	}
 }
 
-// Traces returns the retained traces, deduplicated and ordered by start
-// time. The returned traces are shared with the tracer; treat them as
-// read-only.
+// Traces returns copies of the retained traces, deduplicated and ordered
+// by start time.
 func (t *Tracer) Traces() []*Trace {
+	return t.collect(func(*Trace) bool { return true })
+}
+
+// collect copies out the retained traces match accepts, ordered by start
+// time.
+func (t *Tracer) collect(match func(*Trace) bool) []*Trace {
 	if t == nil {
 		return nil
 	}
@@ -269,9 +322,12 @@ func (t *Tracer) Traces() []*Trace {
 	var out []*Trace
 	for _, group := range [][]*Trace{t.head, t.recent, t.slow} {
 		for _, tr := range group {
-			if !seen[tr] {
+			if !seen[tr] && match(tr) {
 				seen[tr] = true
-				out = append(out, tr)
+				c := *tr
+				c.Spans = append(make([]Span, 0, len(tr.Spans)), tr.Spans...)
+				c.Attempts = append([]AttemptRef(nil), tr.Attempts...)
+				out = append(out, &c)
 			}
 		}
 	}
@@ -279,33 +335,22 @@ func (t *Tracer) Traces() []*Trace {
 	return out
 }
 
-// Find returns the retained trace with the given ID, or nil.
+// Find returns a copy of the retained trace with the given ID (the
+// earliest, when several share it), or nil.
 func (t *Tracer) Find(id uint64) *Trace {
-	for _, tr := range t.Traces() {
-		if tr.ID == id {
-			return tr
-		}
+	if all := t.collect(func(tr *Trace) bool { return tr.ID == id }); len(all) > 0 {
+		return all[0]
 	}
 	return nil
 }
 
-// FindAll returns every retained trace with the given ID, ordered by
-// attempt then start time. A backend that served several attempts of
-// one fleet request (first try and a later retry) retains one trace per
-// attempt under the shared ID; the stitcher needs all of them.
+// FindAll returns copies of every retained trace with the given ID,
+// ordered by attempt then start time. A backend that served several
+// attempts of one fleet request (first try and a later retry) retains one
+// trace per attempt under the shared ID; the stitcher needs all of them.
 func (t *Tracer) FindAll(id uint64) []*Trace {
-	var out []*Trace
-	for _, tr := range t.Traces() {
-		if tr.ID == id {
-			out = append(out, tr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Attempt != out[j].Attempt {
-			return out[i].Attempt < out[j].Attempt
-		}
-		return out[i].StartNS < out[j].StartNS
-	})
+	out := t.collect(func(tr *Trace) bool { return tr.ID == id })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Attempt < out[j].Attempt })
 	return out
 }
 

@@ -285,3 +285,58 @@ func TestTimeline(t *testing.T) {
 		t.Fatalf("want no-worker notice:\n%s", empty)
 	}
 }
+
+// TestTracerRecyclesSpanSlices: the tracer owns what it retains, so the
+// span slice of a trace that aged out of every sample backs a later trace,
+// a slice still retained is never handed out, and what a reader was given
+// is a copy no later Add can reach.
+func TestTracerRecyclesSpanSlices(t *testing.T) {
+	tr := NewTracer(4, 1, 1) // ring 4, head 1, slow 1
+	add := func(id uint64, durNS int64) {
+		spans := tr.SpanBuf(3)
+		for i := 0; i < 3; i++ {
+			spans = append(spans, Span{Name: "s", Worker: i, StartNS: int64(id), DurNS: int64(id)})
+		}
+		tr.Add(&Trace{ID: id, StartNS: int64(id), DurNS: durNS, Spans: spans})
+	}
+	add(1, 10)  // head
+	add(2, 1e9) // slowest: stays in the slow sample after the ring drops it
+	for id := uint64(3); id <= 6; id++ {
+		add(id, 10)
+	}
+	held := tr.Traces()
+
+	allocs := testing.AllocsPerRun(50, func() { add(7, 10) })
+	if allocs > 1 { // the Trace itself
+		t.Errorf("steady-state trace costs %.0f allocations, want 1: span slices are not recycled", allocs)
+	}
+	for id := uint64(8); id <= 40; id++ {
+		add(id, 10)
+	}
+
+	for _, x := range held {
+		for i, sp := range x.Spans {
+			if sp.StartNS != int64(x.ID) || sp.Worker != i {
+				t.Fatalf("a reader's copy of trace %d changed under it: %+v", x.ID, x.Spans)
+			}
+		}
+	}
+	now := tr.Traces()
+	ids := map[uint64]bool{}
+	for _, x := range now {
+		ids[x.ID] = true
+		if len(x.Spans) != 3 {
+			t.Fatalf("retained trace %d has %d spans, want 3", x.ID, len(x.Spans))
+		}
+		for _, sp := range x.Spans {
+			if sp.StartNS != int64(x.ID) {
+				t.Fatalf("retained trace %d holds another trace's spans: %+v", x.ID, x.Spans)
+			}
+		}
+	}
+	for _, want := range []uint64{1, 2, 37, 38, 39, 40} {
+		if !ids[want] {
+			t.Errorf("trace %d missing from retention; have %v", want, ids)
+		}
+	}
+}

@@ -450,6 +450,19 @@ func (c *Ctx) RowSpan(y int, b Band) (int, int, bool) {
 	return x0, x1, true
 }
 
+// edgeGuard keeps every finite band edge this far from an integer v. A
+// band's pixels are chosen by RowSpan's closed form, ceil((edge-d)/cv),
+// while the span loop steps v incrementally; the two can disagree in the
+// last ulps, so a pixel admitted to a band may carry a v just past its edge.
+// With an edge on an integer c that pixel's taps reach row c+1 (or c-1), the
+// first row of a compositing band the task never waited for — with weight
+// zero, so no pixel changes, but it is a read of rows still being written.
+// Holding the edges 2^-16 away from the integers (rounding error is below
+// 1e-9 for any image that fits in memory) keeps floor(v) of every admitted
+// pixel inside the rows the task declared; the pixels within the guard of a
+// cut move to the sliver, which already waits for both bands.
+const edgeGuard = 1.0 / (1 << 16)
+
 // Task is one unit of the new algorithm's warp phase: a v-axis ownership
 // band together with the compositing bands whose completion it depends on.
 // The decomposition of PartitionTasks guarantees:
@@ -461,7 +474,8 @@ func (c *Ctx) RowSpan(y int, b Band) (int, int, bool) {
 //     region entirely (where the image is zero and safe to read any time).
 //
 // Interior tasks depend only on their own band; the scanline-wide boundary
-// slivers depend on the two adjacent bands and are assigned to the
+// slivers (one scanline plus edgeGuard on each side) depend on the adjacent
+// bands and are assigned to the
 // processor with fewer lines — the paper's rule that eliminates final-image
 // write sharing and, with per-band completion counters, the global barrier
 // between the phases (sections 4.5 and 5.5.2).
@@ -506,13 +520,13 @@ func (tb *TaskBuilder) Partition(boundaries []int) []Task {
 	tb.cuts = cuts
 
 	// Interval edges along the v axis: around each cut c the sliver
-	// [c-1, c) gets its own interval.
+	// [c-1, c) gets its own interval, widened by edgeGuard on both sides.
 	edges := append(tb.edges[:0], math.Inf(-1))
 	for _, c := range cuts {
-		if e := float64(c - 1); e > edges[len(edges)-1] {
+		if e := float64(c-1) - edgeGuard; e > edges[len(edges)-1] {
 			edges = append(edges, e)
 		}
-		if e := float64(c); e > edges[len(edges)-1] {
+		if e := float64(c) + edgeGuard; e > edges[len(edges)-1] {
 			edges = append(edges, e)
 		}
 	}
@@ -542,13 +556,15 @@ func (tb *TaskBuilder) Partition(boundaries []int) []Task {
 		}
 		t := Task{Band: Band{VLo: a, VHi: b}}
 		// Rows the bilinear reads of v in [a, b) can touch: floor(v) and
-		// floor(v)+1, clamped to the composited region.
+		// floor(v)+1, clamped to the composited region. No finite edge is
+		// within edgeGuard of an integer, so the same rows hold for a v
+		// that strays past an edge by rounding error.
 		rowLo, rowHi := lo, hi-1
 		if !math.IsInf(a, -1) {
-			rowLo = max(rowLo, int(a))
+			rowLo = max(rowLo, int(math.Floor(a)))
 		}
 		if !math.IsInf(b, 1) {
-			rowHi = min(rowHi, int(b))
+			rowHi = min(rowHi, int(math.Floor(b))+1)
 		}
 		t.NeedLo, t.NeedHi = 1, 0 // empty
 		if rowLo <= rowHi {

@@ -206,8 +206,8 @@ func TestSliverOwnershipRule(t *testing.T) {
 	if sliver.Owner != 0 {
 		t.Fatalf("sliver owner = %d, want 0 (fewer lines)", sliver.Owner)
 	}
-	if sliver.Band.VLo != 9 || sliver.Band.VHi != 10 {
-		t.Fatalf("sliver band = %+v, want [9,10)", sliver.Band)
+	if sliver.Band.VLo != 9-edgeGuard || sliver.Band.VHi != 10+edgeGuard {
+		t.Fatalf("sliver band = %+v, want [9,10) widened by edgeGuard", sliver.Band)
 	}
 	if sliver.NeedLo != 0 || sliver.NeedHi != 1 {
 		t.Fatalf("sliver needs = [%d,%d], want [0,1]", sliver.NeedLo, sliver.NeedHi)

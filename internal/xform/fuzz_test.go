@@ -15,11 +15,11 @@ import (
 // footprint.
 func FuzzFactorizationInvariant(f *testing.F) {
 	f.Add(0.0, 0.0, uint8(64), uint8(64), uint8(64))
-	f.Add(0.5, 0.25, uint8(64), uint8(32), uint8(16))  // generic view, anisotropic volume
+	f.Add(0.5, 0.25, uint8(64), uint8(32), uint8(16))   // generic view, anisotropic volume
 	f.Add(math.Pi/4, 0.0, uint8(8), uint8(8), uint8(8)) // axis-tie yaw
-	f.Add(1.4, -0.2, uint8(3), uint8(63), uint8(2))    // x principal axis
-	f.Add(0.1, 1.5, uint8(16), uint8(2), uint8(16))    // y principal axis (steep pitch)
-	f.Add(-2.8, 3.0, uint8(5), uint8(7), uint8(11))    // behind the volume
+	f.Add(1.4, -0.2, uint8(3), uint8(63), uint8(2))     // x principal axis
+	f.Add(0.1, 1.5, uint8(16), uint8(2), uint8(16))     // y principal axis (steep pitch)
+	f.Add(-2.8, 3.0, uint8(5), uint8(7), uint8(11))     // behind the volume
 	f.Fuzz(func(t *testing.T, yaw, pitch float64, bx, by, bz uint8) {
 		if math.IsNaN(yaw) || math.IsInf(yaw, 0) || math.IsNaN(pitch) || math.IsInf(pitch, 0) {
 			t.Skip()

@@ -53,17 +53,27 @@ func warmOptionsRenderer(pc *perf.Collector, opt render.Options) *newalg.Rendere
 	return nr
 }
 
+// requireZeroAllocs is the frame-loop allocation guard: frame, called
+// repeatedly on a warm renderer, must not allocate. Under the race
+// detector sync.Pool sheds a quarter of what is Put, so the frames run —
+// the detector watches the frame loop through them — but their count is
+// not asserted.
+func requireZeroAllocs(t *testing.T, what string, frame func()) {
+	t.Helper()
+	allocs := alloctest.PerRun(20, frame)
+	if allocs != 0 && !alloctest.Race {
+		t.Fatalf("%s: RenderFrame allocates %.1f allocs/op, want 0", what, allocs)
+	}
+}
+
 func TestPerfDisabledZeroAllocs(t *testing.T) {
 	nr := warmRenderer(nil)
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := alloctest.PerRun(20, func() {
+	requireZeroAllocs(t, "disabled collector", func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
-	if allocs != 0 {
-		t.Fatalf("disabled collector: RenderFrame allocates %.1f allocs/op, want 0", allocs)
-	}
 }
 
 func TestPerfEnabledSteadyStateZeroAllocs(t *testing.T) {
@@ -72,13 +82,10 @@ func TestPerfEnabledSteadyStateZeroAllocs(t *testing.T) {
 	nr := warmRenderer(perf.NewCollector(4))
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := alloctest.PerRun(20, func() {
+	requireZeroAllocs(t, "enabled collector", func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
-	if allocs != 0 {
-		t.Fatalf("enabled collector: RenderFrame allocates %.1f allocs/op, want 0", allocs)
-	}
 }
 
 func TestPerfDisabledByteIdentical(t *testing.T) {
@@ -116,13 +123,10 @@ func TestSpansDetachedZeroAllocs(t *testing.T) {
 		t.Fatal("attached recorder captured no spans")
 	}
 	nr.Spans = nil
-	allocs := alloctest.PerRun(20, func() {
+	requireZeroAllocs(t, "detached recorder", func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
-	if allocs != 0 {
-		t.Fatalf("detached recorder: RenderFrame allocates %.1f allocs/op, want 0", allocs)
-	}
 }
 
 // TestSpansAttachedSteadyStateZeroAllocs: recording spans is index-claim
@@ -134,14 +138,11 @@ func TestSpansAttachedSteadyStateZeroAllocs(t *testing.T) {
 	nr.Spans = fs
 	yaw := 50 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := alloctest.PerRun(20, func() {
+	requireZeroAllocs(t, "attached recorder", func() {
 		fs.Reset(epoch)
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
-	if allocs != 0 {
-		t.Fatalf("attached recorder: RenderFrame allocates %.1f allocs/op, want 0", allocs)
-	}
 }
 
 // TestSpansByteIdentical: tracing a frame must not change its pixels —
@@ -191,13 +192,10 @@ func TestPackedKernelZeroAllocs(t *testing.T) {
 	nr := warmKernelRenderer(nil, cpudispatch.KernelPacked)
 	yaw := 77 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
-	allocs := alloctest.PerRun(20, func() {
+	requireZeroAllocs(t, "packed kernel", func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
 	})
-	if allocs != 0 {
-		t.Fatalf("packed kernel: RenderFrame allocates %.1f allocs/op, want 0", allocs)
-	}
 }
 
 // TestPackedKernelSpansByteIdentical: attaching a span recorder to a
@@ -243,13 +241,10 @@ func TestModeZeroAllocs(t *testing.T) {
 			nr := warmOptionsRenderer(nil, tc.opt)
 			yaw := 77 * math.Pi / 180
 			pitch := 15 * math.Pi / 180
-			allocs := alloctest.PerRun(20, func() {
+			requireZeroAllocs(t, tc.name+" mode", func() {
 				yaw += 3 * math.Pi / 180
 				nr.RenderFrame(yaw, pitch)
 			})
-			if allocs != 0 {
-				t.Fatalf("%s mode: RenderFrame allocates %.1f allocs/op, want 0", tc.name, allocs)
-			}
 		})
 	}
 }

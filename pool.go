@@ -215,12 +215,18 @@ var ErrPoolClosed = errors.New("shearwarp: renderer pool closed")
 // time, making a set of single-frame renderers safe to drive from
 // concurrent requests. Acquire blocks until a renderer is free (or the
 // context ends); Release returns it. The pool is safe for concurrent use.
+//
+// Acquire hands out the most recently released renderer. A renderer's
+// images, compositing contexts and parked workers are what a frame wants
+// to find warm, so load of concurrency N keeps to N renderers instead of
+// rotating through all of them, and the rest never allocate their images.
 type RendererPool struct {
-	free  chan *Renderer
+	avail chan struct{} // one token per renderer in idle
 	done  chan struct{} // closed by Close; unblocks waiting Acquires
 	build func() (*Renderer, error)
 
 	mu     sync.Mutex
+	idle   []*Renderer // free renderers, most recently released last
 	closed bool
 }
 
@@ -232,51 +238,60 @@ func NewRendererPool(size int, build func() (*Renderer, error)) (*RendererPool, 
 		size = 1
 	}
 	p := &RendererPool{
-		free:  make(chan *Renderer, size),
+		avail: make(chan struct{}, size),
 		done:  make(chan struct{}),
 		build: build,
+		idle:  make([]*Renderer, 0, size),
 	}
 	for i := 0; i < size; i++ {
 		r, err := build()
 		if err != nil {
-			// Tear down the renderers built so far (all of them are in
-			// free — nothing has been acquired yet).
-			p.mu.Lock()
-			p.closed = true
-			p.mu.Unlock()
-			close(p.done)
-			for drained := false; !drained; {
-				select {
-				case r := <-p.free:
-					r.Close()
-				default:
-					drained = true
-				}
+			for _, r := range p.idle {
+				r.Close()
 			}
 			return nil, fmt.Errorf("shearwarp: building pool renderer %d: %w", i, err)
 		}
-		p.free <- r
+		p.put(r)
 	}
 	return p, nil
 }
 
+// put makes r the next renderer Acquire hands out.
+func (p *RendererPool) put(r *Renderer) {
+	p.mu.Lock()
+	p.idle = append(p.idle, r)
+	p.mu.Unlock()
+	p.avail <- struct{}{} // cap == size and Acquire/Release pair up, so never blocks
+}
+
+// take pops the most recently released renderer; the caller holds a token.
+func (p *RendererPool) take() *Renderer {
+	p.mu.Lock()
+	n := len(p.idle) - 1
+	r := p.idle[n]
+	p.idle[n] = nil
+	p.idle = p.idle[:n]
+	p.mu.Unlock()
+	return r
+}
+
 // Size returns the pool's renderer count.
-func (p *RendererPool) Size() int { return cap(p.free) }
+func (p *RendererPool) Size() int { return cap(p.avail) }
 
 // Idle returns how many renderers are currently free (a snapshot).
-func (p *RendererPool) Idle() int { return len(p.free) }
+func (p *RendererPool) Idle() int { return len(p.avail) }
 
 // Acquire returns a free renderer, blocking until one is released, the
 // context is done, or the pool closes. The caller must Release it.
 func (p *RendererPool) Acquire(ctx context.Context) (*Renderer, error) {
 	select {
-	case r := <-p.free:
-		return r, nil
+	case <-p.avail:
+		return p.take(), nil
 	default:
 	}
 	select {
-	case r := <-p.free:
-		return r, nil
+	case <-p.avail:
+		return p.take(), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.done:
@@ -288,9 +303,7 @@ func (p *RendererPool) Acquire(ctx context.Context) (*Renderer, error) {
 // with exactly one Release, even after Close (Close waits for outstanding
 // renderers to come back). Finish reading the renderer's last Image
 // first: the next holder's frame may overwrite it (see Image).
-func (p *RendererPool) Release(r *Renderer) {
-	p.free <- r // cap == size and Acquire/Release pair up, so never blocks
-}
+func (p *RendererPool) Release(r *Renderer) { p.put(r) }
 
 // Discard retires an acquired renderer and replaces it with a freshly
 // built one — the service calls this instead of Release after a frame
@@ -302,10 +315,10 @@ func (p *RendererPool) Release(r *Renderer) {
 func (p *RendererPool) Discard(r *Renderer) error {
 	fresh, err := p.build()
 	if err != nil {
-		p.free <- r
+		p.put(r)
 		return fmt.Errorf("shearwarp: replacing discarded renderer: %w", err)
 	}
-	p.free <- fresh
+	p.put(fresh)
 	r.Close()
 	return nil
 }
@@ -322,8 +335,8 @@ func (p *RendererPool) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	close(p.done)
-	for i := 0; i < cap(p.free); i++ {
-		r := <-p.free
-		r.Close()
+	for i := 0; i < cap(p.avail); i++ {
+		<-p.avail
+		p.take().Close()
 	}
 }

@@ -161,6 +161,114 @@ func TestRendererPoolLifecycle(t *testing.T) {
 	pool.Close() // idempotent
 }
 
+// TestRendererPoolHandsOutMostRecentlyReleased pins the pool's order: the
+// renderer released last is acquired first, whether the acquirer arrives
+// later or was already waiting, and a Discard's replacement takes the
+// discarded renderer's place at the top. Load that holds N renderers at a
+// time therefore only ever touches N of them.
+func TestRendererPoolHandsOutMostRecentlyReleased(t *testing.T) {
+	pv := preparedMRI(t, 16, nil)
+	pool, err := NewRendererPool(8, func() (*Renderer, error) {
+		return pv.NewRenderer(Config{Algorithm: NewParallel, Procs: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ctx := context.Background()
+	acquire := func() *Renderer {
+		t.Helper()
+		r, err := pool.Acquire(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	a, b, c := acquire(), acquire(), acquire()
+	pool.Release(a)
+	pool.Release(b)
+	if got := acquire(); got != b {
+		t.Fatal("Acquire after Release(a), Release(b) did not return b")
+	}
+	if got := acquire(); got != a {
+		t.Fatal("the second Acquire did not return a")
+	}
+	pool.Release(a)
+	pool.Release(b)
+	pool.Release(c)
+
+	// Discard: the pool is whole again, the replacement comes out first and
+	// the discarded renderer never again.
+	x := acquire()
+	if x != c {
+		t.Fatal("Acquire did not return the renderer released last")
+	}
+	if err := pool.Discard(x); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Idle() != pool.Size() {
+		t.Fatalf("idle = %d of %d after Discard", pool.Idle(), pool.Size())
+	}
+	fresh := acquire()
+	if fresh == x || fresh == a || fresh == b {
+		t.Fatal("Acquire after Discard did not return the replacement")
+	}
+	pool.Release(fresh)
+
+	// A blocked Acquire gets the renderer whose Release unblocks it.
+	held := make([]*Renderer, pool.Size())
+	for i := range held {
+		held[i] = acquire()
+	}
+	got := make(chan *Renderer)
+	go func() {
+		r, err := pool.Acquire(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- r
+	}()
+	select {
+	case <-got:
+		t.Fatal("Acquire on an empty pool returned before any Release")
+	case <-time.After(20 * time.Millisecond):
+	}
+	pool.Release(held[3])
+	if r := <-got; r != held[3] {
+		t.Fatal("the blocked Acquire did not get the released renderer")
+	}
+	for _, r := range held {
+		pool.Release(r)
+	}
+
+	// Two clients back to back on a pool of eight use two renderers.
+	var mu sync.Mutex
+	used := map[*Renderer]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r, err := pool.Acquire(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				used[r] = true
+				mu.Unlock()
+				pool.Release(r)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(used) > 2 {
+		t.Fatalf("2 concurrent clients touched %d of %d renderers, want at most 2", len(used), pool.Size())
+	}
+}
+
 // TestRendererPoolBuildError verifies the constructor error path: the
 // already-built renderers are torn down and the error is surfaced.
 func TestRendererPoolBuildError(t *testing.T) {
