@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/experiments"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
@@ -88,51 +87,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 	return 0, fmt.Errorf("shearwarp: unknown algorithm %q", s)
 }
-
-// Kernel selects the pixel-kernel tier the untraced compositing and warp
-// fast paths run with. The constants mirror internal/cpudispatch one to
-// one (the conversions in this file rely on the shared numbering).
-type Kernel int
-
-// Kernel tiers.
-const (
-	// KernelAuto resolves via the SHEARWARP_KERNEL environment variable
-	// and otherwise picks KernelScalar — the default, because the scalar
-	// tier is the one that is bit-identical across every algorithm.
-	KernelAuto Kernel = iota
-	// KernelScalar is the exact float32 reference tier.
-	KernelScalar
-	// KernelPacked is the 64-bit packed-lane fixed-point tier: faster,
-	// deterministic, but a documented epsilon mode — images agree with
-	// the scalar tier only to within the quantization bounds pinned in
-	// DESIGN.md, so it must be opted into explicitly.
-	KernelPacked
-)
-
-func (k Kernel) String() string { return cpudispatch.Kernel(k).String() }
-
-// UnknownKernelError reports a kernel name that ParseKernel rejected.
-type UnknownKernelError struct {
-	Value string
-}
-
-func (e *UnknownKernelError) Error() string {
-	return fmt.Sprintf("shearwarp: unknown kernel %q (valid: auto, scalar, packed)", e.Value)
-}
-
-// ParseKernel converts a kernel name ("auto", "scalar", "packed"; ""
-// means auto). Unknown names return a *UnknownKernelError.
-func ParseKernel(s string) (Kernel, error) {
-	k, err := cpudispatch.Parse(s)
-	if err != nil {
-		return 0, &UnknownKernelError{Value: s}
-	}
-	return Kernel(k), nil
-}
-
-// CPUFeatures reports the probed CPU features relevant to the packed
-// tier ("avx2,fma", "neon,fma", "none", ...) for logs and metrics.
-func CPUFeatures() string { return cpudispatch.FeatureString() }
 
 // Mode selects a render mode. The constants mirror internal/rendermode
 // one to one (the conversions in this file rely on the shared numbering).
@@ -210,16 +164,8 @@ type Config struct {
 	Algorithm Algorithm // AlgorithmAuto (the zero value) renders with Serial
 	Procs     int       // workers for the parallel algorithms (default 1)
 	Transfer  Transfer  // classification preset
-	// Kernel selects the pixel-kernel tier (resolved once at renderer
-	// construction; see the Kernel constants). The ray-casting baseline
-	// ignores it.
-	Kernel Kernel
 	// Mode selects the render mode (composite, MIP, isosurface); see the
-	// Mode constants. The packed kernel tier is composite-only: an
-	// explicit Config.Kernel = KernelPacked with a non-composite mode
-	// fails renderer construction with a typed
-	// *cpudispatch.UnsupportedModeError, while KernelAuto falls back to
-	// the scalar tier for those modes.
+	// Mode constants.
 	Mode Mode
 	// IsoThreshold is the density threshold of ModeIsosurface: voxels at
 	// or above it form the surface. 0 selects the default
@@ -323,30 +269,19 @@ func NewRenderer(data []uint8, nx, ny, nz int, cfg Config) (*Renderer, error) {
 		return nil, fmt.Errorf("shearwarp: volume too small (%dx%dx%d)", nx, ny, nz)
 	}
 	v := &vol.Volume{Nx: nx, Ny: ny, Nz: nz, Data: data}
-	return newRenderer(v, cfg)
+	return newRenderer(v, cfg), nil
 }
 
-// NewMRIPhantom builds a renderer over the synthetic MRI head phantom. It
-// panics on an invalid Config (today only the packed kernel tier combined
-// with a non-composite mode); use NewRenderer to receive that as an error.
+// NewMRIPhantom builds a renderer over the synthetic MRI head phantom.
 func NewMRIPhantom(n int, cfg Config) *Renderer {
-	re, err := newRenderer(vol.MRIBrain(n), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return re
+	return newRenderer(vol.MRIBrain(n), cfg)
 }
 
 // NewCTPhantom builds a renderer over the synthetic CT head phantom. When
-// cfg.Transfer is unset it defaults to the CT transfer function. Like
-// NewMRIPhantom it panics on an invalid Config.
+// cfg.Transfer is unset it defaults to the CT transfer function.
 func NewCTPhantom(n int, cfg Config) *Renderer {
 	cfg.Transfer = TransferCT
-	re, err := newRenderer(vol.CTHead(n), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return re
+	return newRenderer(vol.CTHead(n), cfg)
 }
 
 // isoThreshold returns the effective isosurface threshold of a config
@@ -358,18 +293,13 @@ func isoThreshold(cfg Config) uint8 {
 	return cfg.IsoThreshold
 }
 
-func newRenderer(v *vol.Volume, cfg Config) (*Renderer, error) {
+func newRenderer(v *vol.Volume, cfg Config) *Renderer {
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
-	}
-	kr, err := cpudispatch.ResolveForMode(cpudispatch.Kernel(cfg.Kernel), rendermode.Mode(cfg.Mode))
-	if err != nil {
-		return nil, err
 	}
 	opt := render.Options{
 		OpacityCorrection: cfg.OpacityCorrection,
 		PreprocProcs:      cfg.Procs,
-		Kernel:            kr,
 		Mode:              rendermode.Mode(cfg.Mode),
 	}
 	switch {
@@ -381,7 +311,7 @@ func newRenderer(v *vol.Volume, cfg Config) (*Renderer, error) {
 	case cfg.Transfer == TransferCT:
 		opt.Transfer = classify.CTTransfer
 	}
-	return newRendererFrom(render.New(v, opt), cfg), nil
+	return newRendererFrom(render.New(v, opt), cfg)
 }
 
 // newRendererFrom wraps an already-prepared pipeline renderer with the
@@ -604,13 +534,8 @@ func (b *PhaseBreakdown) Frame() *perf.FrameBreakdown { return b.fb }
 func (re *Renderer) LastBreakdown() *PhaseBreakdown { return re.bd }
 
 // Mode reports the render mode this renderer runs with. Services report
-// it alongside the algorithm and kernel in logs and /metrics.
-func (re *Renderer) Mode() Mode { return re.cfg.Mode }
-
-// Kernel reports the resolved pixel-kernel tier this renderer runs with
-// (never KernelAuto — construction resolves the choice). Services report
 // it alongside the algorithm in logs and /metrics.
-func (re *Renderer) Kernel() Kernel { return Kernel(re.r.Kernel) }
+func (re *Renderer) Mode() Mode { return re.cfg.Mode }
 
 // ListFigures returns the IDs and titles of the reproducible paper figures
 // and the ablation studies.

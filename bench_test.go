@@ -17,7 +17,6 @@ import (
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/composite"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/experiments"
 	"shearwarp/internal/newalg"
 	"shearwarp/internal/perf"
@@ -195,11 +194,11 @@ func BenchmarkCompositePhaseOnly(b *testing.B) {
 	}
 }
 
-// benchCompositeScanline measures the untraced compositing kernel on a
-// single central intermediate scanline, for the given pixel-kernel tier.
-func benchCompositeScanline(b *testing.B, k cpudispatch.Kernel) {
+// benchCompositeScanline measures the untraced compositing kernel on the
+// central intermediate scanline of a volume classified with tf (nil = MRI).
+func benchCompositeScanline(b *testing.B, v *vol.Volume, tf classify.TransferFunc) {
 	b.Helper()
-	r := render.New(vol.MRIBrain(64), render.Options{Kernel: k})
+	r := render.New(v, render.Options{Transfer: tf})
 	fr := r.Setup(0.5, 0.25)
 	cc := fr.NewCompositeCtx()
 	row := fr.M.H / 2
@@ -212,17 +211,11 @@ func benchCompositeScanline(b *testing.B, k cpudispatch.Kernel) {
 	}
 }
 
-// BenchmarkCompositeScanline is the headline compositing benchmark and runs
-// the packed tier — the fastest kernel this machine supports (the scalar
-// twin below tracks the exact tier). BENCH_native.json records both.
-func BenchmarkCompositeScanline(b *testing.B) {
-	benchCompositeScanline(b, cpudispatch.KernelPacked)
-}
-
-// BenchmarkCompositeScanlineScalar is the exact scalar tier — the default
-// kernel and the bit-identity reference for the golden suites.
+// BenchmarkCompositeScanlineScalar is the balanced case: the MRI phantom's
+// central scanline under the exact float32 kernel, the bit-identity
+// reference for the golden suites.
 func BenchmarkCompositeScanlineScalar(b *testing.B) {
-	benchCompositeScanline(b, cpudispatch.KernelScalar)
+	benchCompositeScanline(b, vol.MRIBrain(64), nil)
 }
 
 // ---- skewed-workload kernel benchmarks ----
@@ -242,23 +235,6 @@ func stepTransfer(density uint8, _ float64) (alpha, r, g, bl float64) {
 		return 0, 0, 0, 0
 	}
 	return 1, 1, 0.9, 0.8
-}
-
-// benchSkewedScanline composites the central intermediate scanline of a
-// synthetic phantom under the given kernel tier.
-func benchSkewedScanline(b *testing.B, v *vol.Volume, k cpudispatch.Kernel) {
-	b.Helper()
-	r := render.New(v, render.Options{Transfer: stepTransfer, Kernel: k})
-	fr := r.Setup(0.5, 0.25)
-	cc := fr.NewCompositeCtx()
-	row := fr.M.H / 2
-	var cnt composite.Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fr.M.ClearRow(row)
-		cc.Scanline(row, &cnt)
-	}
 }
 
 // volAllTransparent: every scanline is one transparent run — the kernel
@@ -291,37 +267,26 @@ func volOneVoxelRuns(n int) *vol.Volume {
 }
 
 func BenchmarkCompositeTransparentScalar(b *testing.B) {
-	benchSkewedScanline(b, volAllTransparent(64), cpudispatch.KernelScalar)
-}
-func BenchmarkCompositeTransparentPacked(b *testing.B) {
-	benchSkewedScanline(b, volAllTransparent(64), cpudispatch.KernelPacked)
+	benchCompositeScanline(b, volAllTransparent(64), stepTransfer)
 }
 func BenchmarkCompositeOpaqueScalar(b *testing.B) {
-	benchSkewedScanline(b, volFullyOpaque(64), cpudispatch.KernelScalar)
-}
-func BenchmarkCompositeOpaquePacked(b *testing.B) {
-	benchSkewedScanline(b, volFullyOpaque(64), cpudispatch.KernelPacked)
+	benchCompositeScanline(b, volFullyOpaque(64), stepTransfer)
 }
 func BenchmarkCompositeOneVoxelRunsScalar(b *testing.B) {
-	benchSkewedScanline(b, volOneVoxelRuns(64), cpudispatch.KernelScalar)
-}
-func BenchmarkCompositeOneVoxelRunsPacked(b *testing.B) {
-	benchSkewedScanline(b, volOneVoxelRuns(64), cpudispatch.KernelPacked)
+	benchCompositeScanline(b, volOneVoxelRuns(64), stepTransfer)
 }
 
-// benchWarpSpan measures the untraced warp kernel on a single central
+// BenchmarkWarpSpan measures the untraced warp kernel on a single central
 // final-image row over a fully composited intermediate image.
-func benchWarpSpan(b *testing.B, k cpudispatch.Kernel) {
-	b.Helper()
-	r := render.New(vol.MRIBrain(64), render.Options{Kernel: k})
+func BenchmarkWarpSpan(b *testing.B) {
+	r := render.New(vol.MRIBrain(64), render.Options{})
 	fr := r.Setup(0.5, 0.25)
 	cc := fr.NewCompositeCtx()
 	var ccnt composite.Counters
 	for row := 0; row < fr.M.H; row++ {
 		cc.Scanline(row, &ccnt)
 	}
-	var scratch warp.Scratch
-	wc := fr.NewWarpCtx(&scratch)
+	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
 	y := fr.Out.H / 2
 	var cnt warp.Counters
 	b.ReportAllocs()
@@ -330,9 +295,6 @@ func benchWarpSpan(b *testing.B, k cpudispatch.Kernel) {
 		wc.WarpSpan(y, 0, fr.Out.W, &cnt)
 	}
 }
-
-func BenchmarkWarpSpan(b *testing.B)       { benchWarpSpan(b, cpudispatch.KernelScalar) }
-func BenchmarkWarpSpanPacked(b *testing.B) { benchWarpSpan(b, cpudispatch.KernelPacked) }
 
 // ---- per-figure benchmarks ----
 

@@ -37,8 +37,6 @@ func main() {
 	var vf cli.VolumeFlags
 	vf.Register(flag.CommandLine)
 	algName := flag.String("alg", "new", "algorithm: serial | old | new | raycast")
-	var kf cli.KernelFlag
-	kf.Register(flag.CommandLine)
 	var mf cli.ModeFlag
 	mf.Register(flag.CommandLine)
 	procs := flag.Int("procs", 4, "workers for the parallel algorithms")
@@ -60,16 +58,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kernel, err := kf.Kernel()
-	if err != nil {
-		fatal(err)
-	}
 	mode, isoThr, err := mf.Mode()
 	if err != nil {
 		fatal(err)
 	}
 	collect := *statsFlag || *statsJSON != "" || *metricsAddr != ""
-	cfg := shearwarp.Config{Algorithm: alg, Kernel: kernel, Procs: *procs,
+	cfg := shearwarp.Config{Algorithm: alg, Procs: *procs,
 		Mode: mode, IsoThreshold: isoThr, CollectStats: collect}
 	if (collect || *spansFile != "") && alg == shearwarp.RayCast {
 		fatal(fmt.Errorf("-stats/-statsjson/-metrics-addr/-spans need a shear-warp algorithm (serial, old, new)"))

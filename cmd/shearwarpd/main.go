@@ -54,8 +54,6 @@ func main() {
 	vf.Register(flag.CommandLine)
 	addr := flag.String("addr", ":8080", "listen address")
 	algName := flag.String("alg", "new", "default algorithm: serial | old | new | raycast")
-	var kf cli.KernelFlag
-	kf.Register(flag.CommandLine)
 	var mf cli.ModeFlag
 	mf.Register(flag.CommandLine)
 	procs := flag.Int("procs", 0, "workers inside each parallel render (0 = GOMAXPROCS)")
@@ -77,10 +75,6 @@ func main() {
 	flag.Parse()
 
 	alg, err := shearwarp.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal(err)
-	}
-	kernel, err := kf.Kernel()
 	if err != nil {
 		fatal(err)
 	}
@@ -111,7 +105,6 @@ func main() {
 	srv := server.New(server.Config{
 		Procs:           *procs,
 		Algorithm:       alg,
-		Kernel:          kernel,
 		Mode:            mode,
 		IsoThreshold:    isoThr,
 		PoolSize:        *pool,

@@ -58,26 +58,6 @@ func (vf *VolumeFlags) Load() (*vol.Volume, shearwarp.Transfer, error) {
 	return vol.MRIBrain(vf.Size), shearwarp.TransferMRI, nil
 }
 
-// KernelFlag is the pixel-kernel selection shared by the commands: both
-// shearwarp and shearwarpd choose the fast-path tier the same way, and
-// both must reject a typo with the same typed error before doing any
-// work.
-type KernelFlag struct {
-	Name string
-}
-
-// Register declares the -kernel flag on fs.
-func (kf *KernelFlag) Register(fs *flag.FlagSet) {
-	fs.StringVar(&kf.Name, "kernel", "auto",
-		"pixel-kernel tier: auto | scalar | packed (auto = $SHEARWARP_KERNEL, else scalar)")
-}
-
-// Kernel resolves the flag. Unknown names surface the renderer's typed
-// *shearwarp.UnknownKernelError so commands can exit 2 with its message.
-func (kf *KernelFlag) Kernel() (shearwarp.Kernel, error) {
-	return shearwarp.ParseKernel(kf.Name)
-}
-
 // ModeFlag is the render-mode selection shared by the commands: shearwarp
 // renders one-shot frames in the chosen mode, shearwarpd uses it as the
 // default for requests that do not pass mode=; both must reject a typo

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/img"
 	"shearwarp/internal/rendermode"
 	"shearwarp/internal/rle"
@@ -129,14 +128,6 @@ type Ctx struct {
 	Tracer trace.Tracer // nil in native mode
 	Arrays Arrays
 
-	// Kernel selects the untraced pixel-kernel tier: KernelScalar (or the
-	// zero value KernelAuto) runs the exact float32 kernel, KernelPacked
-	// the 64-bit packed-lane fixed-point tier (a documented epsilon mode —
-	// see DESIGN.md). The traced simulator path always runs the scalar
-	// reference kernel regardless. Set it between frames only; the render
-	// layer assigns it after every (re)bind.
-	Kernel cpudispatch.Kernel
-
 	// Mode selects the per-sample accumulation rule of the untraced path:
 	// Composite (the zero value) over-blends front to back with early ray
 	// termination, MIP keeps the per-channel maximum of the premultiplied
@@ -180,24 +171,14 @@ type Ctx struct {
 	// (see liveIv): most pieces read their bilinear taps directly from
 	// the packed voxel stream (span-interior) or from a shared,
 	// never-written zero lane (line absent under the piece); only pieces
-	// straddling a span edge stage their taps through the scratch lanes.
-	// vlane holds raw voxels for the exact scalar kernel; plane holds
-	// rle.SpreadPremul lanes for the packed tier. Only the footprint of
-	// straddling pieces is ever (re)written or read — stale content
-	// elsewhere is never touched.
-	//
-	// rowAcc is the packed tier's fixed-point row accumulator: two
-	// uint64 per pixel (A<<32|R and G<<32|B, channel values scaled by
-	// 65280), loaded from Pix once per scanline and flushed back once,
-	// so the blend itself never leaves integer registers.
+	// straddling a span edge stage their taps through the scratch lanes
+	// (vlane). Only the footprint of straddling pieces is ever (re)written
+	// or read — stale content elsewhere is never touched.
 	act, actNext   []pixSpan
 	sat            []int32
 	live           []liveIv
 	vlane0, vlane1 []classify.Voxel
-	plane0, plane1 []uint64
 	zvlane         []classify.Voxel // shared zero lane, never written
-	zplane         []uint64         // shared zero lane, never written
-	rowAcc         []uint64
 }
 
 // lutSize is the resolution of the opacity-correction table; resampled
@@ -259,7 +240,7 @@ const laneZero = math.MinInt32
 
 // laneSel resolves a liveIv tap-source code to the slice the kernel reads
 // its taps from.
-func laneSel[T classify.Voxel | uint64](b int32, src, lane, zero []T) []T {
+func laneSel(b int32, src, lane, zero []classify.Voxel) []classify.Voxel {
 	if b >= 0 {
 		return src[b:]
 	}
@@ -316,28 +297,17 @@ func (c *Ctx) Bind(f *xform.Factorization, v *rle.Volume, m *img.Intermediate) {
 	if cap(c.sat) < m.W {
 		c.sat = make([]int32, 0, m.W)
 	}
-	if cap(c.rowAcc) < 2*m.W {
-		c.rowAcc = make([]uint64, 2*m.W)
-	} else {
-		c.rowAcc = c.rowAcc[:2*m.W]
-	}
 	// A live piece spans at most Ni+1 pixels (tap indices -1..Ni), so
-	// lanes of Ni+2 cover any piece; the z-lanes are made zeroed and never
-	// written, so shrinking reslices keep them zero.
+	// lanes of Ni+2 cover any piece; the zero lane is made zeroed and never
+	// written, so shrinking reslices keep it zero.
 	if cap(c.vlane0) < v.Ni+2 {
 		c.vlane0 = make([]classify.Voxel, v.Ni+2)
 		c.vlane1 = make([]classify.Voxel, v.Ni+2)
-		c.plane0 = make([]uint64, v.Ni+2)
-		c.plane1 = make([]uint64, v.Ni+2)
 		c.zvlane = make([]classify.Voxel, v.Ni+2)
-		c.zplane = make([]uint64, v.Ni+2)
 	} else {
 		c.vlane0 = c.vlane0[:v.Ni+2]
 		c.vlane1 = c.vlane1[:v.Ni+2]
-		c.plane0 = c.plane0[:v.Ni+2]
-		c.plane1 = c.plane1[:v.Ni+2]
 		c.zvlane = c.zvlane[:v.Ni+2]
-		c.zplane = c.zplane[:v.Ni+2]
 	}
 }
 
@@ -411,26 +381,13 @@ func (c *Ctx) Scanline(vRow int, cnt *Counters) int64 {
 // and all counter totals stay bit-identical to scanlineTraced — see
 // DESIGN.md for the reordering argument.
 func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
-	f, M := c.F, c.M
+	f := c.F
 	start := cnt.Cycles
 	cnt.Scanlines++
 	cnt.Cycles += CyclesPerLineSetup
 	V := c.V
 	c.initAct(vRow)
-	// Opacity correction forces the exact scalar kernel: the correction
-	// LUT is defined over float alphas and the fixed-point tier would
-	// have to round-trip through it per pixel anyway. Non-composite modes
-	// force it too (kernel resolution already rejects or falls back an
-	// explicit packed request for them — this guard is the backstop for
-	// callers that set Ctx fields directly).
 	mip := c.Mode == rendermode.MIP
-	packed := c.Kernel == cpudispatch.KernelPacked && c.alphaLUT == nil && !mip
-	var pkv []uint64
-	touchLo, touchHi := M.W, 0
-	if packed {
-		pkv = V.PackedVox()
-		c.loadRowAcc(vRow)
-	}
 
 	// The slice loop accumulates its counter charges in locals and flushes
 	// them once per scanline: the totals are plain int64 sums, so batching
@@ -482,24 +439,12 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 		if g.fractional {
 			lead = 1
 		}
-		if packed {
-			skips += mergeIntersectClassify(c, lo0, cn0, vx0, lo1, cn1, vx1, pkv, c.plane0, c.plane1, g.off, lead)
-		} else {
-			skips += mergeIntersectClassify(c, lo0, cn0, vx0, lo1, cn1, vx1, V.Vox, c.vlane0, c.vlane1, g.off, lead)
-		}
+		skips += c.mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1, g.off, lead)
 		if len(c.live) == 0 {
 			continue
 		}
 		if mip {
 			c.compositeLiveMIP(vRow, &g, cnt)
-		} else if packed {
-			if lo := int(c.live[0].Lo); lo < touchLo {
-				touchLo = lo
-			}
-			if hi := int(c.live[len(c.live)-1].Hi); hi > touchHi {
-				touchHi = hi
-			}
-			c.compositeLivePacked(vRow, &g, cnt, pkv)
 		} else {
 			c.compositeLiveScalar(vRow, &g, cnt)
 		}
@@ -513,9 +458,6 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 	cnt.Skips += skips
 	cnt.Cycles += slices*CyclesPerSliceSetup + runs*CyclesPerRun +
 		nvox*CyclesPerVoxelCopy + skips*CyclesPerSkip
-	if packed && touchLo < touchHi {
-		c.flushRowAcc(vRow, touchLo, touchHi)
-	}
 	return cnt.Cycles - start
 }
 
@@ -658,7 +600,7 @@ func (c *Ctx) scanlineTraced(vRow int, cnt *Counters) int64 {
 // walk changes while a slice composites (DESIGN.md spells out the
 // argument). Everything runs in one pass with all cursors in locals, so
 // the per-slice cost is one call regardless of how many pieces survive.
-func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo1, cn1, vx1 []int32, src, lane0, lane1 []T, off, lead int) int64 {
+func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, lead int) int64 {
 	c.live = c.live[:0]
 	act := c.act
 	W := c.M.W
@@ -756,7 +698,7 @@ func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo
 					if s0 <= x0 && x1 < e0 {
 						b0 = vx0[f0] + int32(x0-s0)
 					} else if s0 <= x1 && x0 < e0 {
-						fillLane(lo0, cn0, vx0, src, lane0, f0, x0, x1)
+						fillLane(lo0, cn0, vx0, c.V.Vox, c.vlane0, f0, x0, x1)
 						b0 = ^int32(x0 + 1)
 					}
 				} else if w0n > 1 {
@@ -767,7 +709,7 @@ func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo
 						if s := int(lo0[cc0]); s <= x0 && x1 < s+int(cn0[cc0]) {
 							b0 = vx0[cc0] + int32(x0-s)
 						} else {
-							fillLane(lo0, cn0, vx0, src, lane0, cc0, x0, x1)
+							fillLane(lo0, cn0, vx0, c.V.Vox, c.vlane0, cc0, x0, x1)
 							b0 = ^int32(x0 + 1)
 						}
 					}
@@ -777,7 +719,7 @@ func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo
 					if s1 <= x0 && x1 < e1 {
 						b1 = vx1[f1] + int32(x0-s1)
 					} else if s1 <= x1 && x0 < e1 {
-						fillLane(lo1, cn1, vx1, src, lane1, f1, x0, x1)
+						fillLane(lo1, cn1, vx1, c.V.Vox, c.vlane1, f1, x0, x1)
 						b1 = ^int32(x0 + 1)
 					}
 				} else if w1n > 1 {
@@ -788,7 +730,7 @@ func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo
 						if s := int(lo1[cc1]); s <= x0 && x1 < s+int(cn1[cc1]) {
 							b1 = vx1[cc1] + int32(x0-s)
 						} else {
-							fillLane(lo1, cn1, vx1, src, lane1, cc1, x0, x1)
+							fillLane(lo1, cn1, vx1, c.V.Vox, c.vlane1, cc1, x0, x1)
 							b1 = ^int32(x0 + 1)
 						}
 					}
@@ -817,7 +759,7 @@ func mergeIntersectClassify[T classify.Voxel | uint64](c *Ctx, lo0, cn0, vx0, lo
 // fillLane stages one straddling piece's taps (inclusive tap range
 // [x0, x1]) into the scratch lane — voxel x at lane index x+1, gaps
 // between the line's spans zeroed — starting from span cursor i.
-func fillLane[T classify.Voxel | uint64](lo, cn, vx []int32, src, lane []T, i, x0, x1 int) {
+func fillLane(lo, cn, vx []int32, src, lane []classify.Voxel, i, x0, x1 int) {
 	// Manual element loops: segments are typically a handful of voxels, so
 	// plain stores beat the memmove/memclr call overhead of copy/clear.
 	n := len(lo)
@@ -844,9 +786,8 @@ func fillLane[T classify.Voxel | uint64](lo, cn, vx []int32, src, lane []T, i, x
 		if j < n && int(lo[j]) < g {
 			g = int(lo[j])
 		}
-		var z T
 		for ; x < g; x++ {
-			lane[x+1] = z
+			lane[x+1] = 0
 		}
 	}
 }

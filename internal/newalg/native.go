@@ -144,7 +144,6 @@ type Renderer struct {
 	clearWG    sync.WaitGroup  // rendezvous after the parallel image clear
 	frameWG    sync.WaitGroup  // frame completion
 	ctxPool    sync.Pool       // *composite.Ctx
-	warpPool   sync.Pool       // *warp.Scratch (packed warp tier row cache)
 	start      []chan struct{} // per-worker frame-start tokens
 	wstate     []workerRec     // per-worker failure bookkeeping
 	traceCtx   context.Context // runtime/trace task context of the current frame
@@ -656,12 +655,7 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 	// bilinear reads can touch — no global barrier (section 5.5.2).
 	// Interior tasks need only the own band; boundary slivers also need
 	// the adjacent band.
-	ws, _ := nr.warpPool.Get().(*warp.Scratch)
-	if ws == nil {
-		ws = &warp.Scratch{}
-	}
-	wc := fr.NewWarpCtx(ws)
-	defer nr.warpPool.Put(ws)
+	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
 	for _, tk := range nr.warpTasks {
 		if tk.Owner != p {
 			continue

@@ -32,11 +32,6 @@ import (
 	"shearwarp/internal/warp"
 )
 
-// warpScratchPool recycles packed-warp row caches across frames and
-// workers; unlike newalg, this algorithm has no persistent renderer
-// object to own them.
-var warpScratchPool sync.Pool
-
 // Config tunes the old parallel algorithm.
 type Config struct {
 	Procs     int // number of workers; 0 means 1
@@ -303,12 +298,7 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 			// is polled per tile.
 			phase = "warp"
 			reg = rtrace.StartRegion(tctx, "warp")
-			ws, _ := warpScratchPool.Get().(*warp.Scratch)
-			if ws == nil {
-				ws = &warp.Scratch{}
-			}
-			wc := fr.NewWarpCtx(ws)
-			defer warpScratchPool.Put(ws)
+			wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
 			for t := p; t < len(tiles); t += cfg.Procs {
 				if ab.flag.Load() {
 					break

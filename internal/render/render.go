@@ -13,7 +13,6 @@ import (
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/composite"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
 	"shearwarp/internal/perf"
@@ -37,12 +36,6 @@ type Options struct {
 	// (the renderer's view-independent preprocessing) with this many
 	// goroutines; 0 or 1 keeps them serial. Outputs are bit-identical.
 	PreprocProcs int
-	// Kernel selects the pixel-kernel tier of the untraced compositing
-	// and warp fast paths. It is resolved once, here at construction
-	// (KernelAuto consults SHEARWARP_KERNEL and falls back to the exact
-	// scalar tier), and every frame of this renderer then uses the
-	// resolved tier.
-	Kernel cpudispatch.Kernel
 	// Mode selects the render mode every frame of this renderer runs
 	// with: composite (the zero value), MIP, or isosurface. For the
 	// isosurface mode the caller supplies the thresholding transfer
@@ -61,16 +54,10 @@ type Renderer struct {
 	Vol               *vol.Volume
 	Classified        *classify.Classified
 	OpacityCorrection bool
-	// Kernel is the resolved pixel-kernel tier every frame runs with
-	// (never KernelAuto — construction resolves it).
-	Kernel cpudispatch.Kernel
 	// Mode is the render mode every frame runs with (see Options.Mode).
 	Mode         rendermode.Mode
 	preprocProcs int
 	enc          [3]*rle.Volume
-	// warpScratch backs the packed warp tier of the serial render path;
-	// a Renderer runs one frame at a time, so one scratch suffices.
-	warpScratch warp.Scratch
 	// encodeFn, when set, supplies per-axis encodings from an external
 	// source (the render service's LRU cache) instead of encoding
 	// privately. The returned encodings must be immutable and equivalent
@@ -93,7 +80,6 @@ func New(v *vol.Volume, opt Options) *Renderer {
 	return &Renderer{
 		Vol:               v,
 		OpacityCorrection: opt.OpacityCorrection,
-		Kernel:            cpudispatch.Resolve(opt.Kernel),
 		Mode:              opt.Mode,
 		preprocProcs:      opt.PreprocProcs,
 		Classified:        classify.ClassifyParallel(v, copt, opt.PreprocProcs),
@@ -113,7 +99,6 @@ func NewShared(v *vol.Volume, c *classify.Classified, encode func(xform.Axis) *r
 		Vol:               v,
 		Classified:        c,
 		OpacityCorrection: opt.OpacityCorrection,
-		Kernel:            cpudispatch.Resolve(opt.Kernel),
 		Mode:              opt.Mode,
 		preprocProcs:      opt.PreprocProcs,
 		encodeFn:          encode,
@@ -143,9 +128,6 @@ type Frame struct {
 	// CorrectOpacity tells compositing contexts to enable the per-frame
 	// opacity-correction table.
 	CorrectOpacity bool
-	// Kernel is the resolved pixel-kernel tier the frame's untraced
-	// compositing and warp contexts run with.
-	Kernel cpudispatch.Kernel
 	// Mode is the render mode the frame's compositing contexts run with.
 	Mode rendermode.Mode
 }
@@ -156,7 +138,6 @@ type Frame struct {
 // bit-identical across algorithms.
 func (fr *Frame) NewCompositeCtx() *composite.Ctx {
 	cc := composite.NewCtx(&fr.F, fr.RV, fr.M)
-	cc.Kernel = fr.Kernel
 	cc.Mode = fr.Mode
 	if fr.CorrectOpacity {
 		cc.EnableOpacityCorrection()
@@ -172,7 +153,6 @@ func (fr *Frame) BindCompositeCtx(cc *composite.Ctx) *composite.Ctx {
 		return fr.NewCompositeCtx()
 	}
 	cc.Bind(&fr.F, fr.RV, fr.M)
-	cc.Kernel = fr.Kernel
 	cc.Mode = fr.Mode
 	if fr.CorrectOpacity {
 		cc.EnableOpacityCorrection()
@@ -180,15 +160,10 @@ func (fr *Frame) BindCompositeCtx(cc *composite.Ctx) *composite.Ctx {
 	return cc
 }
 
-// NewWarpCtx builds a warp context for this frame with the frame's kernel
-// tier. The optional scratch (required for the packed tier to stay
-// allocation-free) is reset here: NewWarpCtx marks a frame boundary, and
-// rows cached from an earlier frame must not survive into this one.
-func (fr *Frame) NewWarpCtx(s *warp.Scratch) warp.Ctx {
-	if s != nil {
-		s.Reset()
-	}
-	return warp.Ctx{F: &fr.F, M: fr.M, Out: fr.Out, Kernel: fr.Kernel, S: s}
+// NewWarpCtx ignores its argument and exists only so the frozen
+// bench/layers.go compiles; it goes in the next [benchmark] PR.
+func (fr *Frame) NewWarpCtx(*warp.Scratch) warp.Ctx {
+	return *warp.NewCtx(&fr.F, fr.M, fr.Out)
 }
 
 // Setup factorizes the view and allocates the frame's images.
@@ -201,7 +176,6 @@ func (r *Renderer) Setup(yaw, pitch float64) *Frame {
 		M:              img.NewIntermediate(f.IntW, f.IntH),
 		Out:            img.NewFinal(f.FinalW, f.FinalH),
 		CorrectOpacity: r.OpacityCorrection,
-		Kernel:         r.Kernel,
 		Mode:           r.Mode,
 	}
 }
@@ -226,7 +200,6 @@ func (r *Renderer) SetupInto(fr *Frame, yaw, pitch float64) {
 	fr.M.Resize(fr.F.IntW, fr.F.IntH)
 	fr.Out.Resize(fr.F.FinalW, fr.F.FinalH)
 	fr.CorrectOpacity = r.OpacityCorrection
-	fr.Kernel = r.Kernel
 	fr.Mode = r.Mode
 }
 
@@ -351,7 +324,7 @@ func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *
 	}
 	phase = "warp"
 	fi.Visit("warp", 0, -1)
-	wc := fr.NewWarpCtx(&r.warpScratch)
+	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
 	reg = rtrace.StartRegion(tctx, "warp")
 	wc.WarpTile(0, 0, fr.Out.W, fr.Out.H, &st.Warp)
 	reg.End()

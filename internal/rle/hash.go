@@ -101,6 +101,5 @@ func (v *Volume) MemoryBytes() int64 {
 	return int64(len(v.Vox))*4 + int64(len(v.RunLens))*2 +
 		int64(len(v.RunOff))*4 + int64(len(v.VoxOff))*4 +
 		int64(len(v.SpanOff))*4 + int64(len(v.SpanClass)) +
-		int64(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4 +
-		int64(len(v.packed))*8
+		int64(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4
 }

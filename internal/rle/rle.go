@@ -13,7 +13,6 @@ package rle
 
 import (
 	"fmt"
-	"sync"
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/xform"
@@ -58,10 +57,6 @@ type Volume struct {
 	// the encoders. Compositing contexts size their span scratch from it so
 	// steady-state frames never grow an append.
 	MaxLineRuns int
-
-	// Lazily-built packed-kernel lane array; see PackedVox.
-	packedOnce sync.Once
-	packed     []uint64
 }
 
 // computeMaxLineRuns scans RunOff for the densest scanline.
@@ -274,38 +269,6 @@ func (v *Volume) AppendSpansSoA(k, j int, b *SpanBuf) {
 	for _, vx := range v.SpanVox[lo:hi] {
 		b.Vox = append(b.Vox, vx-base)
 	}
-}
-
-// SpreadPremul converts a packed voxel into the packed compositing tier's
-// lane format: alpha and the premultiplied color channels
-// round(alpha*channel/255), spread into the four 16-bit sublanes of a
-// uint64 as 0x00AA00RR00GG00BB. Premultiplying before resampling keeps
-// transparent neighbors from bleeding color into span edges, and the
-// spread layout lets a kernel resample all four channels with one 64-bit
-// multiply per tap (weights summing to 256 cannot carry across sublanes:
-// 255*256 < 2^16).
-func SpreadPremul(v classify.Voxel) uint64 {
-	a := uint64(v >> 24)
-	r := (a*uint64((v>>16)&0xff) + 127) / 255
-	g := (a*uint64((v>>8)&0xff) + 127) / 255
-	b := (a*uint64(v&0xff) + 127) / 255
-	return a<<48 | r<<32 | g<<16 | b
-}
-
-// PackedVox returns the volume's voxels in SpreadPremul lane form, aligned
-// index-for-index with Vox. The array is view-independent, so it is built
-// once per encoding (lazily, on the first packed-kernel frame) and shared
-// by every renderer bound to the volume thereafter; callers must not
-// mutate it.
-func (v *Volume) PackedVox() []uint64 {
-	v.packedOnce.Do(func() {
-		p := make([]uint64, len(v.Vox))
-		for i, x := range v.Vox {
-			p[i] = SpreadPremul(x)
-		}
-		v.packed = p
-	})
-	return v.packed
 }
 
 // Stats summarizes the encoding.

@@ -51,7 +51,6 @@ const dashHTML = `<!DOCTYPE html>
 <header>
   <h1>shearwarpd</h1>
   <span>uptime <b id="uptime">&ndash;</b></span>
-  <span>kernel <b id="kernel">&ndash;</b></span>
   <span>build <b id="build">&ndash;</b></span>
   <span>frames <b id="frames">&ndash;</b></span>
   <span>rendering <b id="rendering">&ndash;</b> / queued <b id="queued">&ndash;</b></span>
@@ -169,7 +168,6 @@ function refresh() {
     var m = res[0], sloDoc = res[1], lat = res[2];
     document.getElementById("err").textContent = "";
     document.getElementById("uptime").textContent = fmtDur(m.uptime_seconds);
-    document.getElementById("kernel").textContent = m.kernel;
     document.getElementById("build").textContent =
       m.build.go_version + " · " + m.build.gomaxprocs + "p · " + m.build.goroutines + "g";
     document.getElementById("frames").textContent = m.frames;

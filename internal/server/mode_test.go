@@ -1,9 +1,8 @@
 package server
 
 // Render-mode tests for the HTTP surface: mode=/iso= parameter handling,
-// byte-identity of mode responses against direct library renders,
-// mode-qualified cache tenant attribution, and the 400 mapping for the
-// packed-kernel/mode conflict.
+// byte-identity of mode responses against direct library renders, and
+// mode-qualified cache tenant attribution.
 
 import (
 	"bytes"
@@ -112,30 +111,6 @@ func TestRenderModeParamErrors(t *testing.T) {
 		if !strings.Contains(string(body), tc.wantMsg) {
 			t.Errorf("%s: error %q does not mention %q", tc.query, body, tc.wantMsg)
 		}
-	}
-}
-
-// TestRenderModePackedKernelConflict: a service pinned to the packed
-// pixel-kernel tier (composite-only) must refuse non-composite mode
-// requests with 400 and a message naming the conflict — not a 500, and
-// not a silent scalar render.
-func TestRenderModePackedKernelConflict(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, Kernel: shearwarp.KernelPacked})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Composite works on the packed tier.
-	if code, body := get(t, ts.Client(), ts.URL+"/render?volume=mri&yaw=30&pitch=15"); code != http.StatusOK {
-		t.Fatalf("composite on packed kernel: status %d: %s", code, body)
-	}
-
-	code, body := get(t, ts.Client(), ts.URL+"/render?volume=mri&yaw=30&pitch=15&mode=mip")
-	if code != http.StatusBadRequest {
-		t.Fatalf("mip on packed kernel: status %d, want 400 (%s)", code, body)
-	}
-	if !strings.Contains(string(body), "packed") || !strings.Contains(string(body), "mip") {
-		t.Fatalf("conflict error %q does not name the kernel and mode", body)
 	}
 }
 

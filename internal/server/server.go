@@ -55,7 +55,6 @@ import (
 
 	"shearwarp"
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/perf"
 	"shearwarp/internal/render"
@@ -72,15 +71,8 @@ type Config struct {
 	// shearwarp.AlgorithmAuto, means NewParallel here; Serial stays
 	// selectable by naming it, in the Config or per request.
 	Algorithm shearwarp.Algorithm
-	// Kernel selects the pixel-kernel tier every renderer the service
-	// builds runs with (KernelAuto = $SHEARWARP_KERNEL, else scalar).
-	// The resolved tier is reported by /metrics.
-	Kernel shearwarp.Kernel
 	// Mode is the default render mode when a request omits ?mode
-	// (composite, mip, iso). An explicit KernelPacked combined with a
-	// non-composite default fails at pool build (packed is
-	// composite-only); per-request mode= overrides report the same
-	// conflict as a 400.
+	// (composite, mip, iso).
 	Mode shearwarp.Mode
 	// IsoThreshold is the default isosurface density threshold when a
 	// request omits ?iso (0 = the classifier default). Only consulted in
@@ -498,7 +490,6 @@ func (s *Server) renderPool(ctx context.Context, rec *volumeRec, transfer shearw
 		pe.pool, pe.err = shearwarp.NewRendererPool(s.cfg.PoolSize, func() (*shearwarp.Renderer, error) {
 			return pv.NewRenderer(shearwarp.Config{
 				Algorithm:         alg,
-				Kernel:            s.cfg.Kernel,
 				Procs:             s.cfg.Procs,
 				OpacityCorrection: s.cfg.OpacityCorrection,
 				CollectStats:      s.cfg.CollectStats && alg != shearwarp.RayCast,
@@ -694,15 +685,6 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		release()
 		s.inflight.Done()
-		// A kernel/mode conflict (explicit packed with a non-composite
-		// mode) is the client's request to fix, not a server fault.
-		var ume *cpudispatch.UnsupportedModeError
-		if errors.As(err, &ume) {
-			log.Warn("unsupported kernel/mode combination", "err", err)
-			rt.finish(http.StatusBadRequest, time.Now())
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		log.Error("preparing volume failed", "err", err)
 		rt.finish(http.StatusInternalServerError, time.Now())
 		// A failed build is deterministic for this (volume, transfer,
@@ -952,9 +934,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // MetricsSnapshot is the full /metrics document.
 type MetricsSnapshot struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Kernel        string                      `json:"kernel"`       // resolved pixel-kernel tier
-	CPUFeatures   string                      `json:"cpu_features"` // probed host features
-	Build         BuildSnapshot               `json:"build"`        // binary + runtime identity
+	Build         BuildSnapshot               `json:"build"` // binary + runtime identity
 	Frames        int64                       `json:"frames"`
 	Rendering     int                         `json:"rendering"`
 	Queued        int64                       `json:"queued"`
@@ -998,8 +978,6 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 	build.Procs = s.cfg.Procs
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Kernel:        cpudispatch.Resolve(cpudispatch.Kernel(s.cfg.Kernel)).String(),
-		CPUFeatures:   shearwarp.CPUFeatures(),
 		Build:         build,
 		Frames:        s.frames.Load(),
 		Rendering:     len(s.sem),

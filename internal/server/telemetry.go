@@ -257,7 +257,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter) {
 	pw.Gauge("shearwarpd_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
 	pw.Gauge("shearwarpd_build_info", "Build identity; the value is always 1.", 1,
 		"version", snap.Build.Version, "commit", snap.Build.Commit,
-		"go_version", snap.Build.GoVersion, "kernel", snap.Kernel)
+		"go_version", snap.Build.GoVersion)
 	pw.Gauge("shearwarpd_gomaxprocs", "Scheduler parallelism (GOMAXPROCS).", float64(snap.Build.GOMAXPROCS))
 	pw.Gauge("shearwarpd_goroutines", "Live goroutines.", float64(snap.Build.Goroutines))
 	pw.Counter("shearwarpd_frames_total", "Successfully rendered frames.", float64(snap.Frames))
@@ -421,8 +421,7 @@ func (s *Server) endpointHist(path string) *telemetry.Histogram {
 }
 
 // LatencySnapshot is the /debug/latency document: quantile digests of
-// every latency histogram, in milliseconds. scripts/bench.sh saves it
-// verbatim as BENCH_latency.json.
+// every latency histogram, in milliseconds.
 type LatencySnapshot struct {
 	Endpoints     map[string]telemetry.QuantileSummary `json:"endpoints"`
 	AdmissionWait telemetry.QuantileSummary            `json:"admission_wait"`

@@ -61,7 +61,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("Accept %q: bad JSON: %v", accept, err)
 		}
-		want := []string{"uptime_seconds", "kernel", "cpu_features", "build", "frames",
+		want := []string{"uptime_seconds", "build", "frames",
 			"rendering", "queued",
 			"frame_panics", "frames_canceled", "watchdog_stalls", "renderers_replaced",
 			"endpoints", "cache", "cache_tenants", "slo", "phases", "histograms"}

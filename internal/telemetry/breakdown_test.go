@@ -14,7 +14,7 @@ import (
 // decoded breakdown's per-worker phase durations feed a histogram, and
 // both the histogram snapshot and its quantile digest must survive their
 // own JSON round trips with the counts and sums intact — the contract
-// /debug/latency and scripts/bench.sh depend on.
+// /debug/latency depends on.
 func TestBreakdownThroughTelemetry(t *testing.T) {
 	fb := &perf.FrameBreakdown{
 		Algorithm: "new",
@@ -65,7 +65,7 @@ func TestBreakdownThroughTelemetry(t *testing.T) {
 			snapBack.Summary(), snap.Summary())
 	}
 
-	// The quantile digest keeps its wire names (the BENCH_latency.json
+	// The quantile digest keeps its wire names (the /debug/latency
 	// schema) and round-trips exactly.
 	sum := snap.Summary()
 	qdata, err := json.Marshal(sum)

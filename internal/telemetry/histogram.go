@@ -268,8 +268,8 @@ func (s *HistogramSnapshot) CumulativeLE(bound int64) int64 {
 }
 
 // QuantileSummary is the marshal-friendly digest of a snapshot that
-// /debug/latency and BENCH_latency.json carry: milliseconds, because
-// they are read by humans and plotting scripts.
+// /debug/latency carries: milliseconds, because it is read by humans and
+// plotting scripts.
 type QuantileSummary struct {
 	Count  int64   `json:"count"`
 	MeanMS float64 `json:"mean_ms"`

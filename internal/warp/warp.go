@@ -19,7 +19,6 @@ package warp
 import (
 	"math"
 
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/img"
 	"shearwarp/internal/trace"
 	"shearwarp/internal/xform"
@@ -69,14 +68,6 @@ type Ctx struct {
 	Out    *img.Final
 	Tracer trace.Tracer
 	Arrays Arrays
-	// Kernel selects the untraced pixel kernel (cpudispatch.KernelScalar
-	// when zero). Traced frames always run the scalar kernel — the
-	// simulator's reference stream is part of the model.
-	Kernel cpudispatch.Kernel
-	// S holds the packed tier's row cache. Nil is valid (the packed path
-	// allocates privately on first use); renderers that must stay
-	// allocation-free in the steady state pass pooled scratch instead.
-	S *Scratch
 }
 
 // NewCtx builds a warp context.
@@ -84,54 +75,9 @@ func NewCtx(f *xform.Factorization, m *img.Intermediate, out *img.Final) *Ctx {
 	return &Ctx{F: f, M: m, Out: out}
 }
 
-// Scratch is the packed warp tier's reusable state: a full-frame cache of
-// packed intermediate rows (so every row the bilinear taps touch is
-// quantized at most once per frame, however steeply the warp's v
-// coordinate climbs along the output rows) plus a shared zero row standing
-// in for rows outside the image. Validity is a generation stamp per row,
-// so invalidating the whole cache at a frame boundary is O(1). Rows cached
-// during a frame stay valid for that whole frame: the new algorithm's warp
-// tasks only start after the compositing bands their reads touch are
-// complete, and completed bands are never rewritten. Call Reset at every
-// frame boundary — the next frame composites new content into the same
-// intermediate image.
-type Scratch struct {
-	rows  [][]uint64 // per intermediate row: packed lanes, one pad element each end
-	stamp []uint32   // stamp[v] == gen means rows[v] is valid this frame
-	gen   uint32
-	zero  []uint64
-}
-
-// Reset invalidates the cached rows. Must run between frames.
-func (s *Scratch) Reset() {
-	s.gen++
-	if s.gen == 0 { // stamp wrap: invalidate the slow way, once per 2^32 frames
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-}
-
-// ensure sizes the cache for a w-wide, h-tall intermediate image. Row
-// backing arrays grow lazily in packedRow; dimensions only ever ratchet
-// up, so a pooled Scratch stops allocating once it has seen the largest
-// frame.
-func (s *Scratch) ensure(w, h int) {
-	if s.gen == 0 {
-		s.gen = 1 // stamp 0 must never read as valid on a fresh Scratch
-	}
-	if len(s.zero) < w+2 {
-		s.zero = make([]uint64, w+2)
-	}
-	if len(s.rows) < h {
-		rows := make([][]uint64, h)
-		copy(rows, s.rows)
-		stamp := make([]uint32, h)
-		copy(stamp, s.stamp)
-		s.rows, s.stamp = rows, stamp
-	}
-}
+// Scratch is empty and exists only so the frozen bench/layers.go compiles;
+// it goes in the next [benchmark] PR.
+type Scratch struct{}
 
 // WarpSpan warps final-image row y for x in [x0, x1). Native frames
 // (Tracer == nil) take a branch-free fast path; simulated frames take the
@@ -152,10 +98,6 @@ func (c *Ctx) WarpSpan(y, x0, x1 int, cnt *Counters) {
 	cnt.Rows++
 	cnt.Cycles += CyclesPerRowSetup
 	if c.Tracer == nil {
-		if c.Kernel == cpudispatch.KernelPacked {
-			c.warpSpanPacked(y, x0, x1, cnt)
-			return
-		}
 		c.warpSpanUntraced(y, x0, x1, cnt)
 		return
 	}
@@ -220,101 +162,6 @@ func (c *Ctx) warpSpanUntraced(y, x0, x1 int, cnt *Counters) {
 	cnt.Pixels += pixels
 	cnt.Background += background
 	cnt.Cycles += pixels*CyclesPerPixel + background*CyclesPerBackground
-}
-
-// warpSpanPacked is the packed-lane warp tier: each intermediate row the
-// bilinear taps touch is quantized once into 16-bit RGB sublanes of a
-// uint64 (cached across WarpSpan calls in Scratch, with zero padding at
-// the row ends and a shared zero row above and below the image, so edge
-// pixels need no clamped gather), and each final pixel is resampled with
-// two 8.8 fixed-point SWAR lerps. Horizontal first: lane products are at
-// most 255*256 < 2^16, so the three sublanes cannot carry into each
-// other. The vertical lerp then splits R|B (32-bit spacing) from G, where
-// products reach 255*256*256 < 2^24. Output bytes round half-up from the
-// 16.16 result. Weight quantization makes this a documented epsilon mode
-// (bytes may differ from scalar by a small bounded amount, pinned by
-// TestPackedWarpCloseToScalar); the interior/background classification
-// and therefore every counter is identical to the scalar kernel.
-func (c *Ctx) warpSpanPacked(y, x0, x1 int, cnt *Counters) {
-	s := c.S
-	if s == nil {
-		s = &Scratch{}
-		c.S = s
-	}
-	M, out := c.M, c.Out
-	W, H := M.W, M.H
-	s.ensure(W, H)
-	inv := &c.F.WarpInv
-	du, dv := inv[0], inv[3]
-	u := inv[0]*float64(x0) + inv[1]*float64(y) + inv[2]
-	v := inv[3]*float64(x0) + inv[4]*float64(y) + inv[5]
-	outBase := y * out.W
-	outRow := out.Pix[4*(outBase+x0) : 4*(outBase+x1)]
-	r0, r1 := s.zero, s.zero
-	cv0 := math.MinInt32 // floor(v) the cached row pair was fetched for
-	var pixels, background int64
-	for ; len(outRow) >= 4; outRow, u, v = outRow[4:], u+du, v+dv {
-		u0 := int(math.Floor(u))
-		v0 := int(math.Floor(v))
-		if u0 < -1 || v0 < -1 || u0 >= W || v0 >= H {
-			outRow[0] = 0
-			outRow[1] = 0
-			outRow[2] = 0
-			background++
-			continue
-		}
-		if v0 != cv0 {
-			r0 = s.packedRow(M, v0)
-			r1 = s.packedRow(M, v0+1)
-			cv0 = v0
-		}
-		fu := float32(u - float64(u0))
-		fv := float32(v - float64(v0))
-		pu := uint64(fu*256 + 0.5)
-		pv := uint64(fv*256 + 0.5)
-		t0 := r0[u0+1 : u0+3 : u0+3]
-		t1 := r1[u0+1 : u0+3 : u0+3]
-		top := (256-pu)*t0[0] + pu*t0[1]
-		bot := (256-pu)*t1[0] + pu*t1[1]
-		rb := (256-pv)*(top&0x0000ffff_0000ffff) + pv*(bot&0x0000ffff_0000ffff)
-		g := (256-pv)*((top>>16)&0xffff) + pv*((bot>>16)&0xffff)
-		outRow[0] = uint8((rb>>32 + 32768) >> 16)
-		outRow[1] = uint8((g + 32768) >> 16)
-		outRow[2] = uint8(((rb & 0xffffffff) + 32768) >> 16)
-		pixels++
-	}
-	cnt.Pixels += pixels
-	cnt.Background += background
-	cnt.Cycles += pixels*CyclesPerPixel + background*CyclesPerBackground
-}
-
-// packedRow returns the packed form of intermediate row v (the shared
-// zero row when v is outside the image), quantizing and caching it on
-// first use.
-func (s *Scratch) packedRow(M *img.Intermediate, v int) []uint64 {
-	if v < 0 || v >= M.H {
-		return s.zero
-	}
-	dst := s.rows[v]
-	if s.stamp[v] == s.gen && len(dst) >= M.W+2 {
-		return dst
-	}
-	if len(dst) < M.W+2 {
-		dst = make([]uint64, len(s.zero))
-		s.rows[v] = dst
-	}
-	row := M.Pix[4*v*M.W : 4*(v+1)*M.W]
-	d := dst[1 : M.W+1]
-	for i := range d {
-		px := row[4*i : 4*i+3 : 4*i+3]
-		d[i] = uint64(quant255(px[0]))<<32 |
-			uint64(quant255(px[1]))<<16 |
-			uint64(quant255(px[2]))
-	}
-	dst[0] = 0
-	dst[M.W+1] = 0
-	s.stamp[v] = s.gen
-	return dst
 }
 
 // gatherClamped handles the image-border pixels of the fast path, where

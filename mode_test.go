@@ -57,7 +57,6 @@ import (
 	"testing"
 
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/img"
 	"shearwarp/internal/newalg"
 	"shearwarp/internal/oldalg"
@@ -330,34 +329,5 @@ func TestVolcacheCrossMode(t *testing.T) {
 		if !seen[ten.Volume] {
 			t.Errorf("cache tenant %s is not one of the prepared mode fingerprints", ten.Volume)
 		}
-	}
-}
-
-// TestPackedKernelModeRejection pins the kernel/mode gate at every
-// construction surface: an explicit packed kernel with a non-composite
-// mode fails with the typed *cpudispatch.UnsupportedModeError, while
-// composite+packed still constructs.
-func TestPackedKernelModeRejection(t *testing.T) {
-	v := vol.MRIBrain(16)
-	for _, mode := range []Mode{ModeMIP, ModeIsosurface} {
-		_, err := NewRenderer(v.Data, v.Nx, v.Ny, v.Nz,
-			Config{Mode: mode, Kernel: KernelPacked})
-		var ume *cpudispatch.UnsupportedModeError
-		if !errors.As(err, &ume) {
-			t.Errorf("NewRenderer(%s, packed): err = %v, want *UnsupportedModeError", mode, err)
-		}
-		pv, err := PrepareVolumeMode(v.Data, v.Nx, v.Ny, v.Nz, TransferMRI, mode, 0, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pv.NewRenderer(Config{Kernel: KernelPacked}); !errors.As(err, &ume) {
-			t.Errorf("PreparedVolume.NewRenderer(%s, packed): err = %v, want *UnsupportedModeError", mode, err)
-		}
-	}
-	if r, err := NewRenderer(v.Data, v.Nx, v.Ny, v.Nz,
-		Config{Mode: ModeComposite, Kernel: KernelPacked}); err != nil {
-		t.Errorf("composite+packed must construct, got %v", err)
-	} else {
-		r.Close()
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"shearwarp/internal/alloctest"
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/newalg"
 	"shearwarp/internal/perf"
 	"shearwarp/internal/render"
@@ -29,12 +28,7 @@ import (
 // full rotation so every axis encoding and per-renderer buffer reaches
 // steady state.
 func warmRenderer(pc *perf.Collector) *newalg.Renderer {
-	return warmKernelRenderer(pc, cpudispatch.KernelScalar)
-}
-
-// warmKernelRenderer is warmRenderer with an explicit pixel-kernel tier.
-func warmKernelRenderer(pc *perf.Collector, k cpudispatch.Kernel) *newalg.Renderer {
-	return warmOptionsRenderer(pc, render.Options{PreprocProcs: 4, Kernel: k})
+	return warmOptionsRenderer(pc, render.Options{PreprocProcs: 4})
 }
 
 // warmOptionsRenderer is the general warm-up: any render.Options, full
@@ -181,45 +175,6 @@ func TestSpansByteIdentical(t *testing.T) {
 	b := traced.RenderFrame(yaw, pitch).Out
 	if !bytes.Equal(a.Pix, b.Pix) {
 		t.Fatal("detached renderer diverged from plain renderer")
-	}
-}
-
-// TestPackedKernelZeroAllocs: the packed pixel-kernel tier must preserve
-// the frame loop's steady-state allocation contract — its row cache and
-// lane buffers live in pooled scratch that reaches fixed size during
-// warm-up, so switching tiers cannot reintroduce per-frame garbage.
-func TestPackedKernelZeroAllocs(t *testing.T) {
-	nr := warmKernelRenderer(nil, cpudispatch.KernelPacked)
-	yaw := 77 * math.Pi / 180
-	pitch := 15 * math.Pi / 180
-	requireZeroAllocs(t, "packed kernel", func() {
-		yaw += 3 * math.Pi / 180
-		nr.RenderFrame(yaw, pitch)
-	})
-}
-
-// TestPackedKernelSpansByteIdentical: attaching a span recorder to a
-// packed-kernel renderer must not change its pixels — the tracer hooks
-// sit outside the pixel kernels, so the byte-identity guarantee holds
-// per tier, not just for the default one.
-func TestPackedKernelSpansByteIdentical(t *testing.T) {
-	plain := warmKernelRenderer(nil, cpudispatch.KernelPacked)
-	traced := warmKernelRenderer(nil, cpudispatch.KernelPacked)
-	fs := telemetry.NewFrameSpans(time.Now())
-	epoch := time.Now()
-	traced.Spans = fs
-	pitch := 15 * math.Pi / 180
-	for _, yawDeg := range []float64{30, 77, 141, 260} {
-		fs.Reset(epoch)
-		yaw := yawDeg * math.Pi / 180
-		a := plain.RenderFrame(yaw, pitch).Out
-		b := traced.RenderFrame(yaw, pitch).Out
-		if a.W != b.W || a.H != b.H || !bytes.Equal(a.Pix, b.Pix) {
-			t.Fatalf("yaw %v: traced packed frame differs from plain packed frame", yawDeg)
-		}
-		if len(fs.Spans()) == 0 {
-			t.Fatalf("yaw %v: attached recorder captured no spans", yawDeg)
-		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"shearwarp/internal/classify"
-	"shearwarp/internal/cpudispatch"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/render"
 	"shearwarp/internal/rendermode"
@@ -188,10 +187,6 @@ func (pv *PreparedVolume) NewRenderer(cfg Config) (*Renderer, error) {
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
 	}
-	kr, err := cpudispatch.ResolveForMode(cpudispatch.Kernel(cfg.Kernel), rendermode.Mode(cfg.Mode))
-	if err != nil {
-		return nil, err
-	}
 	c, err := pv.classified()
 	if err != nil {
 		return nil, err
@@ -199,7 +194,6 @@ func (pv *PreparedVolume) NewRenderer(cfg Config) (*Renderer, error) {
 	opt := render.Options{
 		OpacityCorrection: cfg.OpacityCorrection,
 		PreprocProcs:      cfg.Procs,
-		Kernel:            kr,
 		Mode:              rendermode.Mode(cfg.Mode),
 	}
 	r := render.NewShared(pv.v, c, func(axis xform.Axis) *rle.Volume {
