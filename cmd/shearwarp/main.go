@@ -11,6 +11,10 @@
 //	shearwarp -in brain.vol -alg serial -frames 24 -step 5
 //	shearwarp -alg old -procs 8 -frames 16 -stats -statsjson phases.json
 //	shearwarp -alg new -frames 100 -trace trace.out -metrics-addr :8080
+//
+// -procs defaults to 0, which means GOMAXPROCS — one worker per core the
+// scheduler will use, as in shearwarpd; the per-frame line prints the
+// resolved count.
 package main
 
 import (
@@ -39,7 +43,7 @@ func main() {
 	algName := flag.String("alg", "new", "algorithm: serial | old | new | raycast")
 	var mf cli.ModeFlag
 	mf.Register(flag.CommandLine)
-	procs := flag.Int("procs", 4, "workers for the parallel algorithms")
+	procs := flag.Int("procs", 0, "workers for the parallel algorithms (0 = GOMAXPROCS)")
 	yaw := flag.Float64("yaw", 30, "yaw in degrees")
 	pitch := flag.Float64("pitch", 15, "pitch in degrees")
 	frames := flag.Int("frames", 1, "number of animation frames")
@@ -61,6 +65,9 @@ func main() {
 	mode, isoThr, err := mf.Mode()
 	if err != nil {
 		fatal(err)
+	}
+	if *procs <= 0 {
+		*procs = runtime.GOMAXPROCS(0)
 	}
 	collect := *statsFlag || *statsJSON != "" || *metricsAddr != ""
 	cfg := shearwarp.Config{Algorithm: alg, Procs: *procs,
@@ -140,9 +147,9 @@ func main() {
 		t0 := time.Now()
 		im, info := r.Render(y, *pitch)
 		last = im
-		fmt.Printf("frame %2d  yaw %6.1f  %4dx%-4d  %8.2fms  %8d samples  steals %d  profiled %v\n",
+		fmt.Printf("frame %2d  yaw %6.1f  %4dx%-4d  %8.2fms  %8d samples  procs %d  steals %d  profiled %v\n",
 			i, y, im.Width(), im.Height(),
-			float64(time.Since(t0).Microseconds())/1000, info.Samples, info.Steals, info.Profiled)
+			float64(time.Since(t0).Microseconds())/1000, info.Samples, *procs, info.Steals, info.Profiled)
 		if bd := r.LastBreakdown(); bd != nil {
 			fb := bd.Frame()
 			cum.Add(fb)

@@ -6,9 +6,11 @@ package shearwarp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,9 +59,13 @@ func TestVolgenAndRenderCLI(t *testing.T) {
 		}
 	}
 
-	// PNG output path.
+	// PNG output path; without -procs the frame gets one worker per core
+	// the scheduler uses, and its line says so.
 	png := filepath.Join(dir, "frame.png")
-	runCmd(t, "./cmd/shearwarp", "-in", volPath, "-alg", "new", "-out", png)
+	out = runCmd(t, "./cmd/shearwarp", "-in", volPath, "-alg", "new", "-out", png)
+	if want := fmt.Sprintf("procs %d ", runtime.GOMAXPROCS(0)); !strings.Contains(out, want) {
+		t.Fatalf("default -procs: per-frame line lacks %q:\n%s", want, out)
+	}
 	data, err := os.ReadFile(png)
 	if err != nil || !bytes.HasPrefix(data, []byte("\x89PNG")) {
 		t.Fatalf("PNG output wrong: %v", err)

@@ -167,18 +167,29 @@ type Ctx struct {
 	// order); actNext is the double buffer for the split.
 	//
 	// live holds the current slice's live pieces — merged spans
-	// intersected with act — each carrying a per-line tap-source code
-	// (see liveIv): most pieces read their bilinear taps directly from
-	// the packed voxel stream (span-interior) or from a shared,
-	// never-written zero lane (line absent under the piece); only pieces
-	// straddling a span edge stage their taps through the scratch lanes
-	// (vlane). Only the footprint of straddling pieces is ever (re)written
-	// or read — stale content elsewhere is never touched.
+	// intersected with act — each carrying, per contributing line, a
+	// tap-source code and the window of taps that are real voxels (see
+	// liveIv). A piece whose taps on a line meet one voxel span reads them
+	// in place from the packed voxel stream and the kernel masks the taps
+	// outside the window to zero; a line absent under the piece reads a
+	// shared, never-written zero lane; only a piece whose taps meet several
+	// spans of a line (or whose in-place base would leave the stream)
+	// stages them through the scratch lanes (vlane). Only the footprint of
+	// staged pieces is ever (re)written or read — stale content elsewhere
+	// is never touched.
 	act, actNext   []pixSpan
 	sat            []int32
 	live           []liveIv
 	vlane0, vlane1 []classify.Voxel
 	zvlane         []classify.Voxel // shared zero lane, never written
+
+	// ktab is the half of sliceSetup that depends on the slice alone,
+	// tabulated per Bind and indexed by k. tv is linear in k, so the slices
+	// that can reach a row are contiguous in front-to-back order; reachSign
+	// is +1 when a row's j0 is non-decreasing in that order, -1 otherwise
+	// (see reach).
+	ktab      []sliceK
+	reachSign int
 }
 
 // lutSize is the resolution of the opacity-correction table; resampled
@@ -223,16 +234,22 @@ type pixSpan struct{ Lo, Hi int }
 
 // liveIv is one live piece of the current slice: a pixel interval [Lo, Hi)
 // that both intersects the slice's merged voxel spans and is not yet
-// saturated, plus a tap-source code per contributing line. A code b >= 0
-// means the piece lies in the interior of one voxel span and the kernel
-// reads its taps directly from the source stream starting at index b; the
-// sentinel laneZero means the line has no voxels under the piece and the
-// kernel reads the shared zero lane; any other negative value means the
-// piece straddles span edges and its taps were staged into the scratch
-// lane starting at index ^b.
+// saturated. Its Hi-Lo+1 bilinear taps per contributing line are numbered
+// j = 0..Hi-Lo (pixel Lo+j-1 blends taps j-1 and j), and each line carries a
+// tap-source code B and a valid-tap window [A, E): tap j is the voxel the
+// source holds at j when A <= j < E and an exact zero otherwise. A code
+// b >= 0 means the taps meet one voxel span of the line and are read in
+// place from the packed voxel stream starting at index b — the window is
+// that span, and the stream positions outside it (a neighbouring line's
+// voxels) are masked off by the kernel; the sentinel laneZero means the line
+// has no voxels under the piece and the kernel reads the shared zero lane;
+// any other negative value means the taps were staged, gaps zeroed, into the
+// scratch lane starting at index ^b, and the window is the whole piece.
 type liveIv struct {
 	Lo, Hi int32
 	B0, B1 int32
+	A0, E0 int32
+	A1, E1 int32
 }
 
 // laneZero marks a live piece with no contributing voxels on that line.
@@ -248,6 +265,15 @@ func laneSel(b int32, src, lane, zero []classify.Voxel) []classify.Voxel {
 		return zero
 	}
 	return lane[^b:]
+}
+
+// outside is all ones when tap j lies outside the valid-tap window [a, l]
+// (l = E-1, inclusive) and zero when inside: (j-a)|(l-j) is negative exactly
+// outside, and the shift smears its sign. t &^ outside(j, a, l) is therefore
+// the voxel itself inside the window and an exact zero outside it, with no
+// branch.
+func outside(j, a, l int) classify.Voxel {
+	return classify.Voxel(uint32(((j - a) | (l - j)) >> 63))
 }
 
 // NewCtx builds a per-processor compositing context.
@@ -309,6 +335,43 @@ func (c *Ctx) Bind(f *xform.Factorization, v *rle.Volume, m *img.Intermediate) {
 		c.vlane1 = c.vlane1[:v.Ni+2]
 		c.zvlane = c.zvlane[:v.Ni+2]
 	}
+	c.bindSliceTable()
+}
+
+// sliceK is the per-slice half of the shear geometry: everything sliceSetup
+// needs that does not depend on the scanline.
+type sliceK struct {
+	tv      float64 // SliceShift's row offset
+	wx, wx1 float64 // column weight and its complement, 1-wx
+	off     int     // pixel u gathers voxels u-off and u-off+1
+}
+
+// bindSliceTable tabulates sliceK for every slice of the bound frame.
+func (c *Ctx) bindSliceTable() {
+	f := c.F
+	if cap(c.ktab) < f.Nk {
+		c.ktab = make([]sliceK, f.Nk)
+	}
+	c.ktab = c.ktab[:f.Nk]
+	for k := range c.ktab {
+		tu, tv := f.SliceShift(k)
+		// Constant resampling weights along the row (see Factorization).
+		tuInt := int(math.Floor(tu))
+		tuFrac := tu - float64(tuInt)
+		off := tuInt
+		wx := 0.0
+		if tuFrac > 0 {
+			off = tuInt + 1
+			wx = 1 - tuFrac
+		}
+		c.ktab[k] = sliceK{tv: tv, wx: wx, wx1: 1 - wx, off: off}
+	}
+	// y = vRow - tv is monotone in k whatever the rounding, so j0 rises
+	// front to back exactly when tv does not.
+	c.reachSign = 1
+	if f.Nk > 0 && c.ktab[f.KFront].tv < c.ktab[f.KFront+(f.Nk-1)*f.KStep].tv {
+		c.reachSign = -1
+	}
 }
 
 // sliceGeom is the per-slice resampling setup shared by the traced and
@@ -322,35 +385,61 @@ type sliceGeom struct {
 }
 
 // sliceSetup computes the shear geometry of slice k against intermediate
-// row vRow. ok is false when the slice cannot reach the scanline.
-func (c *Ctx) sliceSetup(vRow, k int) (g sliceGeom, ok bool) {
-	f := c.F
-	tu, tv := f.SliceShift(k)
-	y := float64(vRow) - tv
+// row vRow into g. ok is false when the slice cannot reach the scanline.
+func (c *Ctx) sliceSetup(vRow, k int, g *sliceGeom) (ok bool) {
+	sk := &c.ktab[k]
+	y := float64(vRow) - sk.tv
 	j0 := int(math.Floor(y))
 	wy := y - float64(j0)
-	if j0 < -1 || j0 >= f.Nj {
-		return g, false
+	if j0 < -1 || j0 >= c.F.Nj {
+		return false
 	}
 	g.j0 = j0
 	g.have0 = j0 >= 0 && wy < 1
-	g.have1 = j0+1 < f.Nj && wy > 0
+	g.have1 = j0+1 < c.F.Nj && wy > 0
 
-	// Constant resampling weights along the row (see Factorization).
-	tuInt := int(math.Floor(tu))
-	tuFrac := tu - float64(tuInt)
-	g.off = tuInt // pixel u gathers voxels i0 = u-off(-1) and i0+1
-	wx := 0.0
-	if tuFrac > 0 {
-		g.off = tuInt + 1
-		wx = 1 - tuFrac
+	g.off = sk.off
+	g.fractional = sk.wx > 0
+	g.w00 = float32(sk.wx1 * (1 - wy))
+	g.w10 = float32(sk.wx * (1 - wy))
+	g.w01 = float32(sk.wx1 * wy)
+	g.w11 = float32(sk.wx * wy)
+	return true
+}
+
+// rowJ0 is sliceSetup's j0 for the idx-th slice in front-to-back order.
+func (c *Ctx) rowJ0(vRow, idx int) int {
+	return int(math.Floor(float64(vRow) - c.ktab[c.F.KFront+idx*c.F.KStep].tv))
+}
+
+// reach returns the front-to-back slice indices [lo, hi) that can reach row
+// vRow — those for which sliceSetup reports ok. They are contiguous because
+// j0 is monotone in idx (reachSign gives the direction), so both ends are
+// found by bisection over the very floor sliceSetup evaluates.
+func (c *Ctx) reach(vRow int) (lo, hi int) {
+	// With q = reachSign*j0 non-decreasing, -1 <= j0 < Nj reads
+	// -1 <= q < Nj rising and 1-Nj <= q < 2 falling.
+	first, past := -1, c.F.Nj
+	if c.reachSign < 0 {
+		first, past = 1-c.F.Nj, 2
 	}
-	g.fractional = wx > 0
-	g.w00 = float32((1 - wx) * (1 - wy))
-	g.w10 = float32(wx * (1 - wy))
-	g.w01 = float32((1 - wx) * wy)
-	g.w11 = float32(wx * wy)
-	return g, true
+	lo = c.firstAtLeast(vRow, first, 0)
+	return lo, c.firstAtLeast(vRow, past, lo)
+}
+
+// firstAtLeast bisects [from, Nk) for the first idx whose reachSign*j0 is at
+// least bound.
+func (c *Ctx) firstAtLeast(vRow, bound, from int) int {
+	a, b := from, c.F.Nk
+	for a < b {
+		m := int(uint(a+b) >> 1)
+		if c.reachSign*c.rowJ0(vRow, m) >= bound {
+			b = m
+		} else {
+			a = m + 1
+		}
+	}
+	return a
 }
 
 // Scanline composites intermediate-image row vRow across all slices, front
@@ -367,19 +456,21 @@ func (c *Ctx) Scanline(vRow int, cnt *Counters) int64 {
 // indirection anywhere in the slice, span and pixel loops.
 //
 // It seeds an active list of not-yet-saturated pixel intervals from the
-// skip links once, then per slice (1) windows the contributing lines'
-// encode-time span index without touching the packed voxels, (2) merges
-// the spans into pixel intervals, (3) intersects those with the active
-// list — charging the reference walk's skip-link traversals — and
-// classifies each surviving piece's tap source per line (direct stream
-// read, shared zero lane, or a staged scratch lane for span-edge
-// straddles), and (4) runs a checkless pixel kernel over the pieces,
+// skip links once and bisects for the slices that can reach the row, then
+// per reachable slice (1) windows the contributing lines' encode-time span
+// index without touching the packed voxels, (2) merges the spans into pixel
+// intervals, (3) intersects those with the active list — charging the
+// reference walk's skip-link traversals — and classifies each surviving
+// piece's tap source per line (the voxel stream in place behind a valid-tap
+// window, the shared zero lane, or a staged scratch lane where the taps meet
+// several spans), and (4) runs a checkless pixel kernel over the pieces,
 // splitting the active list around the pixels that saturated. The cost
-// model charges the reference algorithm's full traversal (every run header
-// and packed voxel of the contributing lines, identically to the traced
-// twin), while the implementation reads only the live footprint; images
-// and all counter totals stay bit-identical to scanlineTraced — see
-// DESIGN.md for the reordering argument.
+// model charges the reference algorithm's full traversal (every slice
+// visit, and every run header and packed voxel of the contributing lines,
+// identically to the traced twin), while the implementation visits only
+// the reachable slices and reads only the live footprint; images and all
+// counter totals stay bit-identical to scanlineTraced — see DESIGN.md for
+// the reordering argument.
 func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 	f := c.F
 	start := cnt.Cycles
@@ -394,20 +485,30 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 	// is exactly associative and the flushed counters (and Cycles, charged
 	// per unit) are bit-identical to the traced walk's running updates.
 	var slices, runs, nvox, skips int64
-	for idx := 0; idx < f.Nk; idx++ {
+	// Only the slices in [lo, hi) can reach this row. The reference walk
+	// still visits the others, and all a visit does there is the
+	// saturated-row test and the setup charge, so they are charged in bulk:
+	// the leading ones here (the active list cannot change before lo), the
+	// trailing ones after the loop.
+	lo, hi := c.reach(vRow)
+	idx := 0
+	if len(c.act) > 0 {
+		slices = int64(lo)
+		idx = lo
+	}
+	for ; idx < hi; idx++ {
 		// Row saturated: early ray termination ends the whole task. The
 		// active list is empty exactly when Skip(0) reports a full row,
 		// so the counter charge matches the traced walk.
 		if len(c.act) == 0 {
-			skips++
 			break
 		}
 		k := f.KFront + idx*f.KStep
 		slices++
 
-		g, ok := c.sliceSetup(vRow, k)
-		if !ok {
-			continue // slice does not reach this scanline
+		var g sliceGeom
+		if !c.sliceSetup(vRow, k, &g) {
+			continue // not inside [lo, hi): reach names exactly the ok slices
 		}
 
 		// Window the encode-time span index of the contributing lines and
@@ -450,6 +551,13 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 		}
 		if len(c.sat) > 0 {
 			c.applySat(vRow)
+		}
+	}
+	if idx < f.Nk {
+		if len(c.act) == 0 {
+			skips++ // the walk's next visit finds the row saturated and ends
+		} else {
+			slices += int64(f.Nk - idx)
 		}
 	}
 	cnt.Slices += slices
@@ -534,8 +642,8 @@ func (c *Ctx) scanlineTraced(vRow int, cnt *Counters) int64 {
 		cnt.Slices++
 		cnt.Cycles += CyclesPerSliceSetup
 
-		g, ok := c.sliceSetup(vRow, k)
-		if !ok {
+		var g sliceGeom
+		if !c.sliceSetup(vRow, k, &g) {
 			continue
 		}
 
@@ -589,8 +697,9 @@ func (c *Ctx) scanlineTraced(vRow int, cnt *Counters) int64 {
 // the two contributing lines' SoA span windows into coalesced pixel
 // intervals (the same intervals the traced path's mergePixelSpans
 // produces), intersects each with the active list, and appends every
-// surviving piece to c.live with its per-line tap source resolved (staged
-// into the scratch lanes only for span-edge straddles). It returns the
+// surviving piece to c.live with its per-line tap source and valid-tap
+// window resolved (staged into the scratch lanes only where the taps meet
+// more than one span of the line). It returns the
 // number of skip-link traversals the reference walk would perform: one per
 // maximal dead gap each merged interval encounters. That count is exact
 // because the reference walk calls Skip once whenever it lands on a marked
@@ -601,9 +710,11 @@ func (c *Ctx) scanlineTraced(vRow int, cnt *Counters) int64 {
 // argument). Everything runs in one pass with all cursors in locals, so
 // the per-slice cost is one call regardless of how many pieces survive.
 func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, lead int) int64 {
-	c.live = c.live[:0]
+	live := c.live[:0]
 	act := c.act
 	W := c.M.W
+	vox := c.V.Vox
+	nvox := len(vox)
 	const inf = int(1) << 30
 	i0, i1 := 0, 0
 	ai := 0
@@ -656,19 +767,7 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 			// interval's span windows [f0, i0) and [f1, i1). The windows
 			// may include the gap span that triggered this finalize, but
 			// its pixel projection starts past curHi so it can never
-			// overlap a piece's tap range; the common windows — empty, or
-			// a single span — classify without any cursor walk.
-			w0n := i0 - f0
-			w1n := i1 - f1
-			var s0, e0, s1, e1 int
-			if w0n == 1 {
-				s0 = int(lo0[f0])
-				e0 = s0 + int(cn0[f0])
-			}
-			if w1n == 1 {
-				s1 = int(lo1[f1])
-				e1 = s1 + int(cn1[f1])
-			}
+			// overlap a piece's tap range.
 			cc0, cc1 := f0, f1
 			u := curLo
 			for ai < len(act) && act[ai].Hi <= u {
@@ -693,49 +792,44 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 				}
 				x0 := u - off // first tap of the piece (>= -1)
 				x1 := e - off // last tap, inclusive
-				b0 := int32(laneZero)
-				if w0n == 1 {
-					if s0 <= x0 && x1 < e0 {
-						b0 = vx0[f0] + int32(x0-s0)
-					} else if s0 <= x1 && x0 < e0 {
-						fillLane(lo0, cn0, vx0, c.V.Vox, c.vlane0, f0, x0, x1)
-						b0 = ^int32(x0 + 1)
-					}
-				} else if w0n > 1 {
-					for cc0 < i0 && int(lo0[cc0])+int(cn0[cc0]) <= x0 {
-						cc0++
-					}
-					if cc0 < i0 && int(lo0[cc0]) <= x1 {
-						if s := int(lo0[cc0]); s <= x0 && x1 < s+int(cn0[cc0]) {
-							b0 = vx0[cc0] + int32(x0-s)
-						} else {
-							fillLane(lo0, cn0, vx0, c.V.Vox, c.vlane0, cc0, x0, x1)
-							b0 = ^int32(x0 + 1)
-						}
+				n := e - u
+				iv := liveIv{Lo: int32(u), Hi: int32(e), B0: laneZero, B1: laneZero}
+				for cc0 < i0 && int(lo0[cc0])+int(cn0[cc0]) <= x0 {
+					cc0++
+				}
+				if cc0 < i0 && int(lo0[cc0]) <= x1 {
+					// The taps meet span cc0. If they meet no other, they
+					// are read where they lie: b is where tap 0 would sit
+					// were the span's voxels to extend over the whole piece.
+					s := int(lo0[cc0])
+					b := int(vx0[cc0]) + x0 - s
+					if (cc0+1 == n0 || int(lo0[cc0+1]) > x1) && b >= 0 && b+n < nvox {
+						iv.B0 = int32(b)
+						iv.A0 = int32(max(s-x0, 0))
+						iv.E0 = int32(min(s+int(cn0[cc0])-x0, n+1))
+					} else {
+						fillLane(lo0, cn0, vx0, vox, c.vlane0, cc0, x0, x1)
+						iv.B0 = ^int32(x0 + 1)
+						iv.E0 = int32(n + 1)
 					}
 				}
-				b1 := int32(laneZero)
-				if w1n == 1 {
-					if s1 <= x0 && x1 < e1 {
-						b1 = vx1[f1] + int32(x0-s1)
-					} else if s1 <= x1 && x0 < e1 {
-						fillLane(lo1, cn1, vx1, c.V.Vox, c.vlane1, f1, x0, x1)
-						b1 = ^int32(x0 + 1)
-					}
-				} else if w1n > 1 {
-					for cc1 < i1 && int(lo1[cc1])+int(cn1[cc1]) <= x0 {
-						cc1++
-					}
-					if cc1 < i1 && int(lo1[cc1]) <= x1 {
-						if s := int(lo1[cc1]); s <= x0 && x1 < s+int(cn1[cc1]) {
-							b1 = vx1[cc1] + int32(x0-s)
-						} else {
-							fillLane(lo1, cn1, vx1, c.V.Vox, c.vlane1, cc1, x0, x1)
-							b1 = ^int32(x0 + 1)
-						}
+				for cc1 < i1 && int(lo1[cc1])+int(cn1[cc1]) <= x0 {
+					cc1++
+				}
+				if cc1 < i1 && int(lo1[cc1]) <= x1 {
+					s := int(lo1[cc1])
+					b := int(vx1[cc1]) + x0 - s
+					if (cc1+1 == n1 || int(lo1[cc1+1]) > x1) && b >= 0 && b+n < nvox {
+						iv.B1 = int32(b)
+						iv.A1 = int32(max(s-x0, 0))
+						iv.E1 = int32(min(s+int(cn1[cc1])-x0, n+1))
+					} else {
+						fillLane(lo1, cn1, vx1, vox, c.vlane1, cc1, x0, x1)
+						iv.B1 = ^int32(x0 + 1)
+						iv.E1 = int32(n + 1)
 					}
 				}
-				c.live = append(c.live, liveIv{int32(u), int32(e), b0, b1})
+				live = append(live, iv)
 				u = e
 				if u >= curHi {
 					break
@@ -744,6 +838,7 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 			}
 		}
 		if plo == inf {
+			c.live = live
 			return skips
 		}
 		curLo, curHi = plo, phi
@@ -756,9 +851,9 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 	}
 }
 
-// fillLane stages one straddling piece's taps (inclusive tap range
-// [x0, x1]) into the scratch lane — voxel x at lane index x+1, gaps
-// between the line's spans zeroed — starting from span cursor i.
+// fillLane stages one piece's taps (inclusive tap range [x0, x1]) into the
+// scratch lane — voxel x at lane index x+1, gaps between the line's spans
+// zeroed — starting from span cursor i.
 func fillLane(lo, cn, vx []int32, src, lane []classify.Voxel, i, x0, x1 int) {
 	// Manual element loops: segments are typically a handful of voxels, so
 	// plain stores beat the memmove/memclr call overhead of copy/clear.
@@ -952,11 +1047,13 @@ func (c *Ctx) compositePixel(vRow, u, off int, w00, w10, w01, w11 float32, cnt *
 // compositeLiveScalar is the untraced hot loop: the exact float32 pixel
 // kernel over the precollected live intervals. It performs exactly the
 // arithmetic of compositePixel per pixel — same unpack tables, same
-// grouping, same order — but reads its four bilinear taps from the padded
-// lanes with no bounds or validity branches: every tap window and pixel
-// quad is a fixed-shape subslice, so the inner loop compiles without bounds
-// checks (verified with -d=ssa/check_bce). Images and counter totals stay
-// bit-identical to the traced path.
+// grouping, same order — but reads its four bilinear taps from each piece's
+// tap sources with no bounds or validity branches: a tap outside the line's
+// valid-tap window is masked to the exact zero the reference reads there
+// (see outside), and every tap source and pixel quad is a fixed-shape
+// subslice, so the inner loop compiles without bounds checks (verified with
+// -d=ssa/check_bce). Images and counter totals stay bit-identical to the
+// traced path.
 func (c *Ctx) compositeLiveScalar(vRow int, g *sliceGeom, cnt *Counters) {
 	M := c.M
 	rowBase := vRow * M.W
@@ -971,10 +1068,13 @@ func (c *Ctx) compositeLiveScalar(vRow int, g *sliceGeom, cnt *Counters) {
 		t1 := laneSel(iv.B1, vox, c.vlane1, c.zvlane)
 		t1 = t1[:len(t0)] // teach the compiler the lanes are the same length
 		lo := int(iv.Lo)
-		v00, v01 := t0[0], t1[0]
+		a0, l0 := int(iv.A0), int(iv.E0)-1
+		a1, l1 := int(iv.A1), int(iv.E1)-1
+		v00 := t0[0] &^ outside(0, a0, l0)
+		v01 := t1[0] &^ outside(0, a1, l1)
 		for j := 1; j < len(t0); j++ {
-			v10 := t0[j]
-			v11 := t1[j]
+			v10 := t0[j] &^ outside(j, a0, l0)
+			v11 := t1[j] &^ outside(j, a1, l1)
 			aa := w00*u8f255[v00>>24] + w10*u8f255[v10>>24] +
 				w01*u8f255[v01>>24] + w11*u8f255[v11>>24]
 			if aa < 1.0/512 {
@@ -1041,10 +1141,13 @@ func (c *Ctx) compositeLiveMIP(vRow int, g *sliceGeom, cnt *Counters) {
 		t1 := laneSel(iv.B1, vox, c.vlane1, c.zvlane)
 		t1 = t1[:len(t0)] // teach the compiler the lanes are the same length
 		lo := int(iv.Lo)
-		v00, v01 := t0[0], t1[0]
+		a0, l0 := int(iv.A0), int(iv.E0)-1
+		a1, l1 := int(iv.A1), int(iv.E1)-1
+		v00 := t0[0] &^ outside(0, a0, l0)
+		v01 := t1[0] &^ outside(0, a1, l1)
 		for j := 1; j < len(t0); j++ {
-			v10 := t0[j]
-			v11 := t1[j]
+			v10 := t0[j] &^ outside(j, a0, l0)
+			v11 := t1[j] &^ outside(j, a1, l1)
 			aa := w00*u8f255[v00>>24] + w10*u8f255[v10>>24] +
 				w01*u8f255[v01>>24] + w11*u8f255[v11>>24]
 			if aa < 1.0/512 {

@@ -267,23 +267,102 @@ func TestTracerSeesVolumeAndImageArrays(t *testing.T) {
 	}
 }
 
+// The untraced path charges the reference walk's counters without walking
+// it: unreachable slices in bulk, run headers and voxels from the offset
+// tables, skip links from the active list. Images and every counter must
+// equal the traced walk's, row by row — over a full rotation of a non-cubic
+// volume, so every principal axis, both traversal directions and the
+// image-edge rows only a few slices reach all occur, and over pitched views
+// of an opaque block. The intermediate image is a column wider than any
+// slice covers, so no row ever saturates whole by itself; the block's images
+// start with the uncovered columns marked opaque, as a row handed over
+// part-composited would be, and then whole rows do saturate — some while
+// slices that cannot reach them are still to come.
 func TestTracedAndUntracedImagesIdentical(t *testing.T) {
-	f, _, rv := setup(t, 16, 0.5, -0.3)
-	a := img.NewIntermediate(f.IntW, f.IntH)
-	b := img.NewIntermediate(f.IntW, f.IntH)
-	ctxA := NewCtx(f, rv, a)
-	ctxB := NewCtx(f, rv, b)
-	s := trace.NewAddrSpace()
-	ctxB.Arrays = RegisterArrays(s, rv, b)
-	ctxB.Tracer = &trace.CountingTracer{}
-	var cnt Counters
-	for vRow := 0; vRow < a.H; vRow++ {
-		ctxA.Scanline(vRow, &cnt)
-		ctxB.Scanline(vRow, &cnt)
+	var rotation, pitched [][2]float64
+	for deg := 0; deg < 360; deg += 15 {
+		rad := float64(deg) * math.Pi / 180
+		rotation = append(rotation, [2]float64{rad, 0.9 * math.Sin(2*rad)})
 	}
-	for i := range a.Pix {
-		if a.Pix[i] != b.Pix[i] {
-			t.Fatal("tracing changed the rendered image")
+	for _, pitch := range []float64{-0.55, -0.45, -0.2, 0.05, 0.5, 0.75} {
+		pitched = append(pitched, [2]float64{0, pitch}, [2]float64{math.Pi, pitch}, [2]float64{0.02, pitch})
+	}
+	block := func(density uint8) *vol.Volume {
+		v := vol.New(40, 56, 24)
+		for i := range v.Data {
+			v.Data[i] = density
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name    string
+		v       *vol.Volume
+		views   [][2]float64
+		premark bool
+	}{
+		{"mri-rotation", vol.MRIBrainDims(40, 56, 24), rotation, false},
+		{"opaque-block-pitched", block(255), pitched, true},
+		{"dense-block-pitched", block(120), pitched, true},
+	} {
+		c := classify.Classify(tc.v, classify.Options{})
+		enc := map[xform.Axis]*rle.Volume{}
+		var total Counters
+		for _, view := range tc.views {
+			f := xform.Factorize(tc.v.Nx, tc.v.Ny, tc.v.Nz, xform.ViewMatrix(tc.v.Nx, tc.v.Ny, tc.v.Nz, view[0], view[1]))
+			rv := enc[f.Axis]
+			if rv == nil {
+				rv = rle.Encode(c, f.Axis)
+				enc[f.Axis] = rv
+			}
+			a := img.NewIntermediate(f.IntW, f.IntH)
+			b := img.NewIntermediate(f.IntW, f.IntH)
+			ctxA := NewCtx(&f, rv, a)
+			ctxB := NewCtx(&f, rv, b)
+			s := trace.NewAddrSpace()
+			ctxB.Arrays = RegisterArrays(s, rv, b)
+			ctxB.Tracer = &trace.CountingTracer{}
+			fullRows := 0
+			for vRow := 0; vRow < a.H; vRow++ {
+				if tc.premark {
+					from := f.Ni - 1
+					if vRow%7 == 3 {
+						from = 0 // every seventh row arrives wholly opaque
+					}
+					for u := from; u < a.W; u++ {
+						a.MarkOpaque(u, vRow)
+						b.MarkOpaque(u, vRow)
+					}
+				}
+				var cntA, cntB Counters
+				cyA := ctxA.Scanline(vRow, &cntA)
+				cyB := ctxB.Scanline(vRow, &cntB)
+				if cntA != cntB || cyA != cyB {
+					t.Fatalf("%s view %v (axis %v, KStep %d) row %d of %d: untraced counters %+v, traced %+v",
+						tc.name, view, f.Axis, f.KStep, vRow, a.H, cntA, cntB)
+				}
+				total.Add(cntA)
+				if a.RowOpaqueCount(vRow) == a.W {
+					fullRows++
+				}
+			}
+			if tc.premark && fullRows == 0 {
+				t.Fatalf("%s view %v: no row saturated whole", tc.name, view)
+			}
+			for i := range a.Pix {
+				if a.Pix[i] != b.Pix[i] {
+					t.Fatalf("%s view %v: tracing changed the rendered image", tc.name, view)
+				}
+			}
+			// Link values differ (the traced walk compresses paths); the
+			// opacity state they encode must not.
+			for i := range a.Links {
+				if (a.Links[i] > 0) != (b.Links[i] > 0) {
+					t.Fatalf("%s view %v: tracing changed which pixels are opaque", tc.name, view)
+				}
+			}
+		}
+		if total.Samples == 0 || total.Skips == 0 {
+			t.Fatalf("%s: %d samples, %d skips — nothing compared", tc.name, total.Samples, total.Skips)
 		}
 	}
 }

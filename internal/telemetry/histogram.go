@@ -24,7 +24,8 @@
 // Like internal/perf and internal/trace, every recording site in the
 // render path is nil-checked: with telemetry detached the frame loop
 // performs no clock reads, allocates nothing, and renders
-// byte-identically (guarded by TestPerfOverheadGuard).
+// byte-identically (guarded by TestSpansDetachedZeroAllocs and
+// TestSpansByteIdentical).
 package telemetry
 
 import (
