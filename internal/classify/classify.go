@@ -34,6 +34,11 @@ func Pack(a, r, g, b uint8) Voxel {
 
 // TransferFunc maps a raw density sample and gradient magnitude to opacity
 // (0..1) and base color (0..1 per channel), before shading.
+//
+// Contract: for a fixed density, opacity must be non-decreasing in gradMag.
+// Classification relies on it to decide, once per density, that a density
+// is transparent whatever its gradient (opacity <= 0 at maxGradMag), and
+// skips the gradient and shading of such voxels.
 type TransferFunc func(density uint8, gradMag float64) (alpha, r, g, b float64)
 
 // MRITransfer is the default transfer function for the MRI brain phantom:
@@ -84,7 +89,7 @@ const DefaultIsoThreshold uint8 = 128
 // opaque with a fixed bone-white base color, everything below is fully
 // transparent. The threshold comparison is >=, so a voxel whose density
 // equals the threshold lies on the surface. Shading still happens in
-// classifyVoxel — the Lambertian term over the central-difference gradient
+// shade — the Lambertian term over the central-difference gradient
 // — so the result is a shaded surface, not a flat silhouette. Note that
 // Classify skips density-0 voxels entirely (air), so they stay transparent
 // even under IsoTransfer(0).
@@ -166,6 +171,19 @@ type Options struct {
 
 // Classify runs classification and shading over the whole volume.
 func Classify(v *vol.Volume, opt Options) *Classified {
+	return ClassifyParallel(v, opt, 1)
+}
+
+// ClassifyParallel classifies with the given number of goroutines,
+// partitioning the volume by z slices; procs < 2 classifies on the calling
+// goroutine. The output does not depend on procs: classification is
+// per-voxel (gradients read the raw volume, which is immutable), so the
+// decomposition carries no ordering effects.
+//
+// Classification runs once per volume (it is view-independent), but for
+// large volumes it is the dominant preprocessing cost, so the renderer's
+// setup benefits from the same parallelism as its frames.
+func ClassifyParallel(v *vol.Volume, opt Options, procs int) *Classified {
 	tf := opt.Transfer
 	if tf == nil {
 		tf = MRITransfer
@@ -174,57 +192,136 @@ func Classify(v *vol.Volume, opt Options) *Classified {
 	if lt.Diffuse == 0 && lt.Ambient == 0 {
 		lt = DefaultLight
 	}
-	ln := normLen(lt)
-	lx, ly, lz := lt.Dx/ln, lt.Dy/ln, lt.Dz/ln
 	minOp := opt.MinOpacity
 	if minOp == 0 {
 		minOp = 4
 	}
 	c := &Classified{Nx: v.Nx, Ny: v.Ny, Nz: v.Nz,
 		Voxels: make([]Voxel, v.VoxelCount()), MinOpacity: minOp}
-	for z := 0; z < v.Nz; z++ {
-		for y := 0; y < v.Ny; y++ {
-			base := (z*v.Ny + y) * v.Nx
-			for x := 0; x < v.Nx; x++ {
-				d := v.Data[base+x]
-				if d == 0 {
-					continue // air stays transparent, skip gradient work
-				}
-				c.Voxels[base+x] = classifyVoxel(v, tf, lt, lx, ly, lz, x, y, z, d)
-			}
+	sh := newShader(tf, lt)
+
+	if procs > v.Nz {
+		procs = v.Nz
+	}
+	opaque := 0
+	if procs < 2 {
+		opaque = sh.classifySlab(v, c, 0, v.Nz)
+	} else {
+		counts := make([]int, procs)
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				counts[p] = sh.classifySlab(v, c, p*v.Nz/procs, (p+1)*v.Nz/procs)
+			}(p)
+		}
+		wg.Wait()
+		for _, n := range counts {
+			opaque += n
 		}
 	}
+	// The voxels were counted as they were written, so the first frame's
+	// TransparentFrac does not rescan the volume.
+	c.transFracOnce.Do(func() {
+		c.transFrac = float64(len(c.Voxels)-opaque) / float64(len(c.Voxels))
+	})
 	return c
 }
 
-// normLen returns the light direction's length (1 for a zero vector).
-func normLen(lt Light) float64 {
-	ln := math.Sqrt(lt.Dx*lt.Dx + lt.Dy*lt.Dy + lt.Dz*lt.Dz)
-	if ln == 0 {
-		return 1
-	}
-	return ln
+// maxGradMag bounds the central-difference gradient magnitude of 8-bit
+// samples: each component lies in [-127.5, 127.5], so the magnitude never
+// exceeds 127.5*sqrt(3) < 221.
+const maxGradMag = 221.0
+
+// shader holds what classifying one voxel needs besides its density and
+// gradient: the transfer function, the normalized light, and the table of
+// densities the transfer function makes transparent at every gradient.
+type shader struct {
+	tf               TransferFunc
+	skip             [256]bool
+	ambient, diffuse float64
+	lx, ly, lz       float64
 }
 
-// classifyVoxel classifies and shades a single non-air voxel; serial and
-// parallel classification share it so their outputs stay bit-identical.
-func classifyVoxel(v *vol.Volume, tf TransferFunc, lt Light, lx, ly, lz float64, x, y, z int, d uint8) Voxel {
-	gx, gy, gz := v.Gradient(x, y, z)
+func newShader(tf TransferFunc, lt Light) *shader {
+	ln := math.Sqrt(lt.Dx*lt.Dx + lt.Dy*lt.Dy + lt.Dz*lt.Dz)
+	if ln == 0 {
+		ln = 1
+	}
+	sh := &shader{tf: tf, ambient: lt.Ambient, diffuse: lt.Diffuse,
+		lx: lt.Dx / ln, ly: lt.Dy / ln, lz: lt.Dz / ln}
+	sh.skip[0] = true // air stays transparent under every transfer function
+	for d := 1; d < 256; d++ {
+		a, _, _, _ := tf(uint8(d), maxGradMag)
+		sh.skip[d] = a <= 0
+	}
+	return sh
+}
+
+// classifySlab classifies slices [z0, z1) into c.Voxels and returns how
+// many of them came out non-transparent (opacity >= c.MinOpacity).
+//
+// Voxels off the volume's faces take their central differences by indexing
+// the neighbouring rows directly; the expressions are Volume.Gradient's, on
+// the same operands, so the bits are the same. Face voxels, whose
+// out-of-bounds neighbours read as 0, go through Volume.Gradient itself.
+func (sh *shader) classifySlab(v *vol.Volume, c *Classified, z0, z1 int) (opaque int) {
+	nx, ny, nz := v.Nx, v.Ny, v.Nz
+	for z := z0; z < z1; z++ {
+		for y := 0; y < ny; y++ {
+			base := (z*ny + y) * nx
+			row := v.Data[base : base+nx]
+			out := c.Voxels[base : base+nx]
+			// With all four neighbouring rows in bounds the row's interior
+			// is [1, nx-1); otherwise it is empty.
+			var yLo, yHi, zLo, zHi []uint8
+			inner := 0
+			if y > 0 && y < ny-1 && z > 0 && z < nz-1 {
+				yLo, yHi = v.Data[base-nx:base], v.Data[base+nx:base+2*nx]
+				zLo, zHi = v.Data[base-nx*ny:][:nx], v.Data[base+nx*ny:][:nx]
+				inner = nx - 1
+			}
+			for x, d := range row {
+				if sh.skip[d] {
+					continue
+				}
+				var gx, gy, gz float64
+				if x > 0 && x < inner {
+					gx = (float64(row[x+1]) - float64(row[x-1])) * 0.5
+					gy = (float64(yHi[x]) - float64(yLo[x])) * 0.5
+					gz = (float64(zHi[x]) - float64(zLo[x])) * 0.5
+				} else {
+					gx, gy, gz = v.Gradient(x, y, z)
+				}
+				vx := sh.shade(d, gx, gy, gz)
+				out[x] = vx
+				if Opacity(vx) >= c.MinOpacity {
+					opaque++
+				}
+			}
+		}
+	}
+	return opaque
+}
+
+// shade classifies and shades one voxel from its density and gradient.
+func (sh *shader) shade(d uint8, gx, gy, gz float64) Voxel {
 	gm := math.Sqrt(gx*gx + gy*gy + gz*gz)
-	a, r, g, b := tf(d, gm)
+	a, r, g, b := sh.tf(d, gm)
 	if a <= 0 {
 		return 0
 	}
-	shade := lt.Ambient
+	shade := sh.ambient
 	if gm > 1e-6 {
 		// Lambertian: gradient points from low to high density; the
 		// surface normal for shading is its negation.
-		nl := -(gx*lx + gy*ly + gz*lz) / gm
+		nl := -(gx*sh.lx + gy*sh.ly + gz*sh.lz) / gm
 		if nl > 0 {
-			shade += lt.Diffuse * nl
+			shade += sh.diffuse * nl
 		}
 	} else {
-		shade += lt.Diffuse * 0.5 // interior voxels: flat shade
+		shade += sh.diffuse * 0.5 // interior voxels: flat shade
 	}
 	if shade > 1 {
 		shade = 1
@@ -232,13 +329,18 @@ func classifyVoxel(v *vol.Volume, tf TransferFunc, lt Light, lx, ly, lz float64,
 	return Pack(quant(a), quant(r*shade), quant(g*shade), quant(b*shade))
 }
 
+// quant maps [0, 1] to 0..255, rounding to nearest with halves up — the
+// value of int(math.Round(x*255)) clamped to a byte, without the call. For
+// 0.5 <= y < 254.5 the sum y+0.5 is either exact or, where it crosses into
+// the next binade, rounds without passing an integer, so truncating it
+// gives round-half-up; below 0.5 (and for NaN) the rounded value is <= 0.
 func quant(x float64) uint8 {
-	v := int(math.Round(x * 255))
-	if v < 0 {
+	y := x * 255
+	if !(y >= 0.5) {
 		return 0
 	}
-	if v > 255 {
+	if y >= 254.5 {
 		return 255
 	}
-	return uint8(v)
+	return uint8(y + 0.5)
 }

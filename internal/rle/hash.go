@@ -9,9 +9,9 @@ import (
 // their per-axis run-length encodings; both kinds of entry are keyed by a
 // content fingerprint of the raw volume so that re-uploading identical
 // data (or re-registering the same phantom) hits the cache regardless of
-// the name it arrives under. FNV-1a over the dimensions and samples is
-// enough: the keys only need to distinguish volumes, not resist an
-// adversary, and a 64-bit digest over megabyte inputs makes accidental
+// the name it arrives under. An FNV-1a-style fold over the dimensions and
+// samples is enough: the keys only need to distinguish volumes, not resist
+// an adversary, and a 64-bit digest over megabyte inputs makes accidental
 // collisions vanishingly unlikely.
 
 const (
@@ -19,22 +19,34 @@ const (
 	fnvPrime64  = 0x100000001b3
 )
 
-// HashBytes folds b into a running 64-bit FNV-1a hash. Start from Seed.
+// HashBytes folds b into a running 64-bit hash. Start from Seed. It is
+// FNV-1a taken eight bytes per multiply (little-endian words, then a byte
+// tail), which hashing a whole volume for its cache key needs; the
+// multiply only carries upwards, so each word step also folds the high
+// half back into the low half. The digest depends on how a stream is split
+// across calls; hash a buffer in one call.
 func HashBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * fnvPrime64
+		h ^= h >> 32
+	}
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	return h
 }
 
-// HashUint64 folds one little-endian 64-bit value into a running hash —
-// used for dimensions and parameters so that, e.g., a 2x8 and an 8x2
-// volume with identical flattened samples still hash differently.
+// HashUint64 folds one 64-bit value into a running hash, as byte-wise
+// FNV-1a over its little-endian bytes (pinned image digests are computed
+// through it) — used for dimensions and parameters so that, e.g., a 2x8
+// and an 8x2 volume with identical flattened samples still hash
+// differently.
 func HashUint64(h, v uint64) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return HashBytes(h, buf[:])
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // Seed is the FNV-1a offset basis; every key derivation starts from it.

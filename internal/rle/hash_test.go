@@ -56,3 +56,30 @@ func TestFingerprintMatchesAcrossEncoders(t *testing.T) {
 		t.Error("x and z encodings share a fingerprint")
 	}
 }
+
+// TestHashBytesEveryByteCounts covers the word path, the byte tail and
+// their seam: at every length up to five words, changing any one byte or
+// exchanging two neighbouring bytes changes the digest.
+func TestHashBytesEveryByteCounts(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = byte(31*i + 7)
+		}
+		want := HashBytes(Seed, buf)
+		for i := range buf {
+			buf[i] ^= 0x80
+			if HashBytes(Seed, buf) == want {
+				t.Fatalf("len %d: flipping the top bit of byte %d left the digest unchanged", n, i)
+			}
+			buf[i] ^= 0x80
+			if i+1 < n {
+				buf[i], buf[i+1] = buf[i+1], buf[i]
+				if HashBytes(Seed, buf) == want {
+					t.Fatalf("len %d: exchanging bytes %d and %d left the digest unchanged", n, i, i+1)
+				}
+				buf[i], buf[i+1] = buf[i+1], buf[i]
+			}
+		}
+	}
+}

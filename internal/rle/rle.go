@@ -13,6 +13,7 @@ package rle
 
 import (
 	"fmt"
+	"sync"
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/xform"
@@ -59,83 +60,190 @@ type Volume struct {
 	MaxLineRuns int
 }
 
-// computeMaxLineRuns scans RunOff for the densest scanline.
-func (v *Volume) computeMaxLineRuns() {
-	maxRuns := 0
-	for s := 0; s+1 < len(v.RunOff); s++ {
-		if n := int(v.RunOff[s+1] - v.RunOff[s]); n > maxRuns {
-			maxRuns = n
-		}
-	}
-	v.MaxLineRuns = maxRuns
+// Encode builds the run-length encoding of c for the given principal axis
+// on the calling goroutine.
+func Encode(c *classify.Classified, axis xform.Axis) *Volume {
+	return EncodeParallel(c, axis, 1)
 }
 
-// Encode builds the run-length encoding of c for the given principal axis.
-func Encode(c *classify.Classified, axis xform.Axis) *Volume {
+// EncodeParallel builds the run-length encoding with the given number of
+// goroutines, partitioning by slices; procs < 2 encodes on the calling
+// goroutine. The output does not depend on procs. Two passes over
+// exact-sized arrays: the first counts each scanline's run headers, voxels
+// and spans into RunOff/VoxOff/SpanOff[s+1], a serial prefix sum turns the
+// counts into offsets, and the second writes every scanline's runs, voxels
+// and spans in place.
+func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume {
 	ni, nj, nk := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
+	if ni > 0xffff {
+		panic(fmt.Sprintf("rle: scanline length %d exceeds uint16 runs", ni))
+	}
+	if procs > nk {
+		procs = nk
+	}
+	if procs < 1 {
+		procs = 1
+	}
 	v := &Volume{
 		Axis: axis, Ni: ni, Nj: nj, Nk: nk, MinOpacity: c.MinOpacity,
 		RunOff:  make([]int32, nk*nj+1),
 		VoxOff:  make([]int32, nk*nj+1),
 		SpanOff: make([]int32, nk*nj+1),
 	}
-	if ni > 0xffff {
-		panic(fmt.Sprintf("rle: scanline length %d exceeds uint16 runs", ni))
+	var tiles []classify.Voxel // per-worker gather buffers, see forEachLine
+	if axis != xform.AxisZ {
+		tiles = make([]classify.Voxel, procs*tileLines*ni)
 	}
-	line := make([]classify.Voxel, ni)
-	for k := 0; k < nk; k++ {
-		for j := 0; j < nj; j++ {
-			s := k*nj + j
-			v.RunOff[s] = int32(len(v.RunLens))
-			v.VoxOff[s] = int32(len(v.Vox))
-			v.SpanOff[s] = int32(len(v.SpanClass))
-			for i := 0; i < ni; i++ {
-				x, y, z := xform.ObjectIndex(axis, i, j, k)
-				line[i] = c.Voxels[(z*c.Ny+y)*c.Nx+x]
-			}
-			v.encodeLine(line)
+	pass := func(line func(s int, vox []classify.Voxel)) {
+		if procs == 1 {
+			forEachLine(c, axis, 0, nk, tiles, line)
+			return
 		}
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				forEachLine(c, axis, p*nk/procs, (p+1)*nk/procs,
+					tiles[p*len(tiles)/procs:(p+1)*len(tiles)/procs], line)
+			}(p)
+		}
+		wg.Wait()
 	}
-	v.RunOff[nk*nj] = int32(len(v.RunLens))
-	v.VoxOff[nk*nj] = int32(len(v.Vox))
-	v.SpanOff[nk*nj] = int32(len(v.SpanClass))
-	v.computeMaxLineRuns()
+
+	pass(v.countLine)
+	for s := 0; s < nk*nj; s++ {
+		if n := int(v.RunOff[s+1]); n > v.MaxLineRuns {
+			v.MaxLineRuns = n
+		}
+		v.RunOff[s+1] += v.RunOff[s]
+		v.VoxOff[s+1] += v.VoxOff[s]
+		v.SpanOff[s+1] += v.SpanOff[s]
+	}
+	spans := v.SpanOff[nk*nj]
+	v.RunLens = make([]uint16, v.RunOff[nk*nj])
+	v.Vox = make([]classify.Voxel, v.VoxOff[nk*nj])
+	v.SpanLo = make([]int32, spans)
+	v.SpanCnt = make([]int32, spans)
+	v.SpanVox = make([]int32, spans)
+	v.SpanClass = make([]uint8, spans)
+	pass(v.writeLine)
 	return v
 }
 
-// encodeLine appends the runs and voxels of one scanline.
-func (v *Volume) encodeLine(line []classify.Voxel) {
-	i := 0
-	for i < len(line) {
+// tileLines is how many scanlines the strided axes gather per sweep: 16
+// voxels are one 64-byte cache line.
+const tileLines = 16
+
+// forEachLine calls line(s, vox) once for every scanline s of slices
+// [k0, k1), with the scanline's Ni classified voxels in vox (valid only
+// during the call).
+//
+// Along AxisZ a scanline is a contiguous stretch of c.Voxels. Along AxisX
+// and AxisY consecutive voxels of a scanline are a row or a slice apart,
+// but one of the two scanline coordinates is unit-stride in memory (k for
+// AxisX, j for AxisY), so tileLines neighbouring scanlines along it are
+// gathered into tile together, and every cache line fetched serves
+// tileLines scanlines instead of one.
+func forEachLine(c *classify.Classified, axis xform.Axis, k0, k1 int, tile []classify.Voxel, line func(s int, vox []classify.Voxel)) {
+	ni, nj, _ := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
+	if axis == xform.AxisZ {
+		for s := k0 * nj; s < k1*nj; s++ {
+			line(s, c.Voxels[s*ni:(s+1)*ni])
+		}
+		return
+	}
+	// Scanline (j, k) starts at voxel u + w*wStride and steps iStride per
+	// i, where u is the unit-stride coordinate and w the other one.
+	// AxisX: (x, y, z) = (k, i, j), so u = k, w = j.
+	// AxisY: (x, y, z) = (j, k, i), so u = j, w = k.
+	u0, u1, w0, w1 := k0, k1, 0, nj
+	iStride, wStride, uLines, wLines := c.Nx, c.Nx*c.Ny, nj, 1
+	if axis == xform.AxisY {
+		u0, u1, w0, w1 = 0, nj, k0, k1
+		iStride, wStride, uLines, wLines = c.Nx*c.Ny, c.Nx, 1, nj
+	}
+	for w := w0; w < w1; w++ {
+		for u := u0; u < u1; u += tileLines {
+			n := min(tileLines, u1-u)
+			src := c.Voxels[w*wStride+u:]
+			s := u*uLines + w*wLines
+			for i := 0; i < ni; i++ {
+				// Voxel i of the tile's n scanlines, four per step.
+				row, o := src[i*iStride:][:n], i
+				for ; len(row) >= 4; row, o = row[4:], o+4*ni {
+					tile[o], tile[o+ni], tile[o+2*ni], tile[o+3*ni] = row[0], row[1], row[2], row[3]
+				}
+				for _, vx := range row {
+					tile[o] = vx
+					o += ni
+				}
+			}
+			for t := 0; t < n; t++ {
+				line(s+t*uLines, tile[t*ni:(t+1)*ni])
+			}
+		}
+	}
+}
+
+// countLine is the first encoding pass over scanline s: it leaves the
+// scanline's run-header, voxel and span counts in the offset arrays' s+1
+// entries.
+func (v *Volume) countLine(s int, line []classify.Voxel) {
+	// Opacity is the top byte, so Opacity(vx) >= MinOpacity is vx >= thr.
+	thr := classify.Voxel(v.MinOpacity) << 24
+	var vox, spans int32
+	prev := false
+	for _, vx := range line {
+		opaque := vx >= thr
+		if opaque {
+			vox++
+			if !prev {
+				spans++
+			}
+		}
+		prev = opaque
+	}
+	// One (transparent, opaque) header pair per span, plus a final pair
+	// with an empty opaque run when the line does not end inside a span.
+	runs := 2 * spans
+	if !prev {
+		runs += 2
+	}
+	v.RunOff[s+1], v.VoxOff[s+1], v.SpanOff[s+1] = runs, vox, spans
+}
+
+// writeLine is the second encoding pass over scanline s: it writes the
+// runs, voxels and span index entries into the ranges the offsets assign.
+func (v *Volume) writeLine(s int, line []classify.Voxel) {
+	thr := classify.Voxel(v.MinOpacity) << 24
+	runs := v.RunLens[v.RunOff[s]:v.RunOff[s+1]]
+	vox, span := v.VoxOff[s], v.SpanOff[s]
+	for i, r := 0, 0; i < len(line); r += 2 {
 		// Transparent run (may be empty).
 		t := i
-		for t < len(line) && classify.Opacity(line[t]) < v.MinOpacity {
+		for t < len(line) && line[t] < thr {
 			t++
 		}
-		v.RunLens = append(v.RunLens, uint16(t-i))
-		i = t
-		// Non-transparent run (may be empty only at end of line).
-		o := i
-		var class uint8
-		vox := int32(len(v.Vox))
-		for o < len(line) && classify.Opacity(line[o]) >= v.MinOpacity {
-			if a := classify.Opacity(line[o]); a > class {
-				class = a
-			}
-			v.Vox = append(v.Vox, line[o])
+		// Non-transparent run (may be empty only at end of line); its
+		// largest voxel carries its largest opacity byte.
+		o := t
+		var top classify.Voxel
+		for o < len(line) && line[o] >= thr {
+			top = max(top, line[o])
 			o++
 		}
-		v.RunLens = append(v.RunLens, uint16(o-i))
-		if o > i {
-			v.SpanLo = append(v.SpanLo, int32(i))
-			v.SpanCnt = append(v.SpanCnt, int32(o-i))
-			v.SpanVox = append(v.SpanVox, vox)
-			v.SpanClass = append(v.SpanClass, class)
+		runs[r], runs[r+1] = uint16(t-i), uint16(o-t)
+		if o > t {
+			copy(v.Vox[vox:], line[t:o])
+			v.SpanLo[span] = int32(t)
+			v.SpanCnt[span] = int32(o - t)
+			v.SpanVox[span] = vox
+			v.SpanClass[span] = classify.Opacity(top)
+			span++
+			vox += int32(o - t)
 		}
 		i = o
-	}
-	if len(line) == 0 {
-		v.RunLens = append(v.RunLens, 0, 0)
 	}
 }
 

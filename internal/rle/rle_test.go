@@ -2,6 +2,7 @@ package rle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"shearwarp/internal/classify"
@@ -204,34 +205,107 @@ func TestScanlineIDLayout(t *testing.T) {
 	}
 }
 
+// referenceEncode is the oracle for the encoder: one scanline at a time in
+// scanline order, gathered voxel by voxel through xform.ObjectIndex, every
+// array grown by append while the run headers are walked.
+func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
+	ni, nj, nk := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
+	v := &Volume{Axis: axis, Ni: ni, Nj: nj, Nk: nk, MinOpacity: c.MinOpacity,
+		RunLens: []uint16{}, Vox: []classify.Voxel{},
+		SpanLo: []int32{}, SpanCnt: []int32{}, SpanVox: []int32{}, SpanClass: []uint8{}}
+	for k := 0; k < nk; k++ {
+		for j := 0; j < nj; j++ {
+			v.RunOff = append(v.RunOff, int32(len(v.RunLens)))
+			v.VoxOff = append(v.VoxOff, int32(len(v.Vox)))
+			v.SpanOff = append(v.SpanOff, int32(len(v.SpanLo)))
+			for i := 0; i < ni; {
+				t := i
+				for t < ni && c.Transparent(c.At(xform.ObjectIndex(axis, t, j, k))) {
+					t++
+				}
+				o := t
+				var class uint8
+				vox := int32(len(v.Vox))
+				for o < ni && !c.Transparent(c.At(xform.ObjectIndex(axis, o, j, k))) {
+					vx := c.At(xform.ObjectIndex(axis, o, j, k))
+					class = max(class, classify.Opacity(vx))
+					v.Vox = append(v.Vox, vx)
+					o++
+				}
+				v.RunLens = append(v.RunLens, uint16(t-i), uint16(o-t))
+				if o > t {
+					v.SpanLo = append(v.SpanLo, int32(t))
+					v.SpanCnt = append(v.SpanCnt, int32(o-t))
+					v.SpanVox = append(v.SpanVox, vox)
+					v.SpanClass = append(v.SpanClass, class)
+				}
+				i = o
+			}
+			v.MaxLineRuns = max(v.MaxLineRuns, len(v.RunLens)-int(v.RunOff[len(v.RunOff)-1]))
+		}
+	}
+	v.RunOff = append(v.RunOff, int32(len(v.RunLens)))
+	v.VoxOff = append(v.VoxOff, int32(len(v.Vox)))
+	v.SpanOff = append(v.SpanOff, int32(len(v.SpanLo)))
+	return v
+}
+
+// firstDifferingField names the first field of Volume on which a and b
+// disagree, or returns "" when they are deeply equal.
+func firstDifferingField(a, b *Volume) string {
+	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return va.Type().Field(i).Name
+		}
+	}
+	return ""
+}
+
+// TestEncodeParallelBitIdentical compares every field of the encoding with
+// the oracle's, on shapes that leave partial gather tiles on every axis,
+// at worker counts from serial to more than there are slices.
 func TestEncodeParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][3]int{{9, 7, 5}, {16, 16, 16}, {5, 3, 11}} {
-		c := randomClassified(rng, dims[0], dims[1], dims[2], 0.3)
-		for _, axis := range []xform.Axis{xform.AxisX, xform.AxisY, xform.AxisZ} {
-			want := Encode(c, axis)
-			for _, procs := range []int{2, 3, 7, 64} {
-				got := EncodeParallel(c, axis, procs)
-				if len(got.RunLens) != len(want.RunLens) || len(got.Vox) != len(want.Vox) {
-					t.Fatalf("dims=%v axis=%v procs=%d: size mismatch", dims, axis, procs)
-				}
-				for i := range want.RunLens {
-					if got.RunLens[i] != want.RunLens[i] {
-						t.Fatalf("RunLens[%d] differs", i)
+	for _, dims := range [][3]int{{9, 7, 5}, {16, 16, 16}, {5, 3, 11}, {1, 1, 1}, {2, 33, 3}, {40, 2, 19}, {37, 18, 21}} {
+		for _, minOp := range []uint8{4, 0, 120, 255} {
+			c := randomClassified(rng, dims[0], dims[1], dims[2], 0.3)
+			c.MinOpacity = minOp
+			for _, axis := range []xform.Axis{xform.AxisX, xform.AxisY, xform.AxisZ} {
+				want := referenceEncode(c, axis)
+				for _, procs := range []int{1, 2, 3, want.Nk, want.Nk + 5} {
+					if f := firstDifferingField(EncodeParallel(c, axis, procs), want); f != "" {
+						t.Fatalf("dims=%v minOpacity=%d axis=%v procs=%d: %s differs from the reference",
+							dims, minOp, axis, procs, f)
 					}
 				}
-				for i := range want.Vox {
-					if got.Vox[i] != want.Vox[i] {
-						t.Fatalf("Vox[%d] differs", i)
-					}
-				}
-				for i := range want.RunOff {
-					if got.RunOff[i] != want.RunOff[i] || got.VoxOff[i] != want.VoxOff[i] {
-						t.Fatalf("offsets differ at scanline %d", i)
-					}
+				if f := firstDifferingField(Encode(c, axis), want); f != "" {
+					t.Fatalf("dims=%v minOpacity=%d axis=%v: Encode's %s differs from the reference", dims, minOp, axis, f)
 				}
 			}
 		}
+	}
+}
+
+// TestEncodeRefusesLinesBeyondUint16 pins the run-length guard on the one
+// entry point both Encode and EncodeParallel go through: a 65 536-voxel
+// scanline cannot be described by uint16 run lengths.
+func TestEncodeRefusesLinesBeyondUint16(t *testing.T) {
+	c := &classify.Classified{Nx: 0x10000, Ny: 2, Nz: 2,
+		Voxels: make([]classify.Voxel, 0x10000*2*2), MinOpacity: 4}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("procs=%d: a 65536-voxel scanline was encoded", procs)
+				}
+			}()
+			EncodeParallel(c, xform.AxisZ, procs)
+		}()
+	}
+	c.Nx, c.Ny = 2, 0x10000 // the other axes' scanlines are 2 and 65536 long
+	if v := EncodeParallel(c, xform.AxisZ, 2); len(v.Vox) != 0 {
+		t.Fatalf("all-air volume stored %d voxels", len(v.Vox))
 	}
 }
 
