@@ -26,8 +26,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"shearwarp/internal/classify"
+	"shearwarp/internal/composite"
 	"shearwarp/internal/experiments"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
@@ -39,6 +41,7 @@ import (
 	"shearwarp/internal/rendermode"
 	"shearwarp/internal/telemetry"
 	"shearwarp/internal/vol"
+	"shearwarp/internal/warp"
 	"shearwarp/internal/xform"
 )
 
@@ -175,12 +178,13 @@ type Config struct {
 	// opacities for the shear's per-slice sample spacing (Lacroute). The
 	// ray-casting baseline samples at unit spacing and ignores it.
 	OpacityCorrection bool
-	// CollectStats attaches the per-worker phase-time instrumentation
-	// (internal/perf) to the Serial, OldParallel and NewParallel
-	// renderers: each Render then exposes a paper-style Figure-5/6
-	// breakdown through LastBreakdown. Costs a few percent of frame time;
-	// when false the renderers take the uninstrumented path (no clock
-	// reads, byte-identical output).
+	// CollectStats gives the Serial, OldParallel and NewParallel
+	// renderers a span recorder of their own, so each Render exposes a
+	// paper-style Figure-5/6 breakdown through LastBreakdown (a recorder
+	// attached with SetSpanRecorder does the same). Costs a constant number
+	// of clock reads per worker per frame; when false and nothing is
+	// attached the renderers take the uninstrumented path (no clock reads,
+	// byte-identical output).
 	CollectStats bool
 	// Faults, when non-nil, injects deterministic faults into the render
 	// pipeline (internal/faultinject) for chaos testing. Nil (the
@@ -204,7 +208,7 @@ func (e *ValidationError) Error() string {
 //
 // Concurrent-use contract: a Renderer renders one frame at a time — the
 // parallelism lives inside each Render call, and the per-frame images,
-// profile state and perf collector are reused across calls. Callers that
+// profile state and phase breakdown are reused across calls. Callers that
 // need overlapping Render calls (a render service) must use distinct
 // Renderers; RendererPool manages a fixed set over shared preprocessing,
 // and PreparedVolume makes that sharing cheap by classifying and
@@ -214,9 +218,10 @@ type Renderer struct {
 	r   *render.Renderer
 	nr  *newalg.Renderer // cross-frame state for NewParallel
 	rc  *raycast.Renderer
-	pc  *perf.Collector       // nil unless cfg.CollectStats
-	bd  *PhaseBreakdown       // breakdown of the last rendered frame
-	sr  *telemetry.FrameSpans // nil unless a span recorder is attached
+	own *telemetry.FrameSpans // the recorder cfg.CollectStats asks for; nil otherwise
+	sr  *telemetry.FrameSpans // the attached recorder: own, or the caller's; nil when none
+	pb  PhaseBreakdown        // storage the last frame's breakdown is derived into
+	bd  *PhaseBreakdown       // &pb once a frame has been accounted, nil otherwise
 }
 
 // Image is a rendered frame. The parallel algorithms may hand out the
@@ -326,17 +331,17 @@ func newRendererFrom(r *render.Renderer, cfg Config) *Renderer {
 	}
 	re := &Renderer{cfg: cfg, r: r}
 	if cfg.CollectStats && cfg.Algorithm != RayCast {
-		re.pc = perf.NewCollector(cfg.Procs)
+		re.own = telemetry.NewFrameSpans(time.Now())
 	}
 	if cfg.Algorithm == NewParallel {
 		re.nr = newalg.NewRenderer(r, newalg.Config{Procs: cfg.Procs})
-		re.nr.Perf = re.pc
 	}
 	if cfg.Algorithm == RayCast {
 		re.rc = raycast.New(r.Classified)
 		re.rc.Mode = r.Mode
 	}
 	re.SetFaultInjector(cfg.Faults)
+	re.SetSpanRecorder(nil)
 	return re
 }
 
@@ -353,12 +358,17 @@ func (re *Renderer) SetFaultInjector(in *faultinject.Injector) {
 // SetSpanRecorder attaches (or, with nil, detaches) a per-request span
 // recorder to every layer of this renderer's pipeline: subsequent frames
 // record one timestamped span per worker phase into it (the render
-// service's per-request traces). Like the fault injector it follows the
-// nil-checked instrumentation contract — detached, the frame loop
-// performs no extra clock reads and allocates nothing. Call it between
-// frames only; the caller retains ownership of the recorder and must
-// detach it before reusing the renderer for an untraced request.
+// service's per-request traces), and LastBreakdown is derived from those
+// spans. Like the fault injector it follows the nil-checked
+// instrumentation contract — detached, the frame loop performs no extra
+// clock reads and allocates nothing (a Config.CollectStats renderer falls
+// back to its own recorder instead). Call it between frames only; the
+// caller retains ownership of the recorder and must detach it before
+// reusing the renderer for an untraced request.
 func (re *Renderer) SetSpanRecorder(sr *telemetry.FrameSpans) {
+	if sr == nil {
+		sr = re.own
+	}
 	re.sr = sr
 	re.r.Spans = sr
 	if re.nr != nil {
@@ -441,11 +451,18 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		return nil, FrameInfo{}, err
 	}
 	info := FrameInfo{Transparent: re.r.Classified.TransparentFrac()}
+	re.bd = nil
+	if re.sr != nil && re.sr == re.own {
+		re.own.Reset(time.Now())
+	}
+	// The frame's spans are the ones recorded from here on: a caller's
+	// recorder may already hold request-lane spans or earlier frames.
+	mark, dropped := len(re.sr.Spans()), re.sr.Dropped()
 	var out *img.Final
 	switch re.cfg.Algorithm {
 	case OldParallel:
 		res, err := oldalg.RenderCtx(ctx, re.r, yaw, pitch,
-			oldalg.Config{Procs: re.cfg.Procs, Perf: re.pc, Faults: re.cfg.Faults, Spans: re.sr})
+			oldalg.Config{Procs: re.cfg.Procs, Faults: re.cfg.Faults, Spans: re.sr})
 		if err != nil {
 			return nil, FrameInfo{}, err
 		}
@@ -456,6 +473,11 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		info.Scanlines = st.Composite.Scanlines
 		for _, ps := range res.PerProc {
 			info.Steals += ps.Steals
+		}
+		rows := re.account(re.cfg.Procs, mark, dropped)
+		for i := range rows {
+			ps := &res.PerProc[i]
+			countInto(&rows[i], &ps.Composite, &ps.Warp, ps.Chunks, ps.Steals)
 		}
 	case NewParallel:
 		res, err := re.nr.RenderFrameCtx(ctx, yaw, pitch)
@@ -471,6 +493,11 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		for _, ps := range res.PerProc {
 			info.Steals += ps.Steals
 		}
+		rows := re.account(re.cfg.Procs, mark, dropped)
+		for i := range rows {
+			ps := &res.PerProc[i]
+			countInto(&rows[i], &ps.Composite, &ps.Warp, ps.Chunks, ps.Steals)
+		}
 	case RayCast:
 		if err := ctx.Err(); err != nil {
 			return nil, FrameInfo{}, err
@@ -484,7 +511,7 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		info.Cycles = cnt.Cycles
 		info.Samples = cnt.Composites
 	default: // Serial
-		o, st, err := re.r.RenderSerialCtx(ctx, yaw, pitch, re.pc)
+		o, st, err := re.r.RenderSerialCtx(ctx, yaw, pitch)
 		if err != nil {
 			return nil, FrameInfo{}, err
 		}
@@ -492,21 +519,44 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		info.Cycles = st.TotalCycles()
 		info.Samples = st.Composite.Samples
 		info.Scanlines = st.Composite.Scanlines
-	}
-	if re.pc != nil {
-		re.bd = &PhaseBreakdown{fb: re.pc.Breakdown(re.cfg.Algorithm.String())}
+		if rows := re.account(1, mark, dropped); rows != nil {
+			countInto(&rows[0], &st.Composite, &st.Warp, 0, 0)
+		}
 	}
 	info.IntW, info.IntH = f.IntW, f.IntH
 	info.FinalW, info.FinalH = f.FinalW, f.FinalH
 	return &Image{f: out}, info, nil
 }
 
+// account derives the frame just rendered — the spans recorded after mark
+// — into the renderer's breakdown and returns its per-worker rows for the
+// caller to fill with the algorithm's work counters. It returns nil, and
+// LastBreakdown stays nil, when no recorder is attached or the recorder
+// dropped spans during the frame.
+func (re *Renderer) account(workers, mark int, dropped int64) []perf.WorkerBreakdown {
+	fb := &re.pb.fb
+	if re.sr == nil || !telemetry.Breakdown(fb, workers, re.sr.Spans()[mark:], re.sr.Dropped()-dropped) {
+		return nil
+	}
+	fb.Algorithm = re.cfg.Algorithm.String()
+	re.bd = &re.pb
+	return fb.PerWorker
+}
+
+// countInto fills one worker's breakdown row from the kernel counters its
+// algorithm returned.
+func countInto(w *perf.WorkerBreakdown, c *composite.Counters, wc *warp.Counters, chunks, steals int) {
+	w.Scanlines, w.EarlyTermSkips, w.WarpSpans = c.Scanlines, c.Skips, wc.Rows
+	w.Chunks, w.Steals = int64(chunks), int64(steals)
+}
+
 // PhaseBreakdown is the per-worker execution-time breakdown of one frame
 // — the native, wall-clock analog of the paper's Figure 5/6 busy /
 // synchronization / load-imbalance bars. Obtain one from
-// Renderer.LastBreakdown after rendering with Config.CollectStats.
+// Renderer.LastBreakdown after rendering with Config.CollectStats or an
+// attached span recorder.
 type PhaseBreakdown struct {
-	fb *perf.FrameBreakdown
+	fb perf.FrameBreakdown
 }
 
 // Table renders the breakdown as an aligned text table, one row per
@@ -520,17 +570,20 @@ func (b *PhaseBreakdown) JSON() ([]byte, error) { return b.fb.JSON() }
 // per-worker idle time outside tracked waits over the frame wall time.
 func (b *PhaseBreakdown) ImbalanceFrac() float64 { return b.fb.ImbalanceFrac() }
 
-// WallNanos is the frame's wall-clock duration in nanoseconds.
+// WallNanos is the frame's wall-clock duration in nanoseconds: the
+// envelope of its worker spans.
 func (b *PhaseBreakdown) WallNanos() int64 { return b.fb.WallNS }
 
 // Frame exposes the underlying perf.FrameBreakdown for tools inside this
 // module (the internal package is not importable from outside).
-func (b *PhaseBreakdown) Frame() *perf.FrameBreakdown { return b.fb }
+func (b *PhaseBreakdown) Frame() *perf.FrameBreakdown { return &b.fb }
 
 // LastBreakdown returns the phase breakdown of the most recent Render
-// call, or nil when Config.CollectStats is off or the algorithm is
-// RayCast (which has no shear-warp phases to break down). The returned
-// value is a snapshot and stays valid across later frames.
+// call, derived from the spans its workers recorded; nil when no span
+// recorder was attached (see Config.CollectStats and SetSpanRecorder), the
+// recorder dropped spans, the frame failed, or the algorithm is RayCast
+// (which has no shear-warp phases to break down). The value is reused:
+// the next render on this renderer overwrites it.
 func (re *Renderer) LastBreakdown() *PhaseBreakdown { return re.bd }
 
 // Mode reports the render mode this renderer runs with. Services report

@@ -3,8 +3,12 @@ package shearwarp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"shearwarp/internal/telemetry"
 )
 
 func TestCollectStatsBreakdown(t *testing.T) {
@@ -17,7 +21,7 @@ func TestCollectStatsBreakdown(t *testing.T) {
 		if r.LastBreakdown() != nil {
 			t.Fatalf("%v: breakdown present before any frame", alg)
 		}
-		im, _ := r.Render(30, 15)
+		im, info := r.Render(30, 15)
 		bd := r.LastBreakdown()
 		if bd == nil {
 			t.Fatalf("%v: no breakdown with CollectStats", alg)
@@ -56,6 +60,29 @@ func TestCollectStatsBreakdown(t *testing.T) {
 			t.Fatalf("%v: JSON algorithm = %v", alg, decoded["algorithm"])
 		}
 
+		// One accounting: the span timeline of the same frame prints the
+		// breakdown's wall and per-worker busy/sync/imbalance, and the
+		// counters sum to what FrameInfo reports from the algorithm's own
+		// per-worker statistics.
+		tl := telemetry.Timeline(&telemetry.Trace{Spans: r.own.Spans()})
+		if want := fmt.Sprintf("frame wall %.3fms over %d workers", float64(fb.WallNS)/1e6, procs); !strings.Contains(tl, want) {
+			t.Fatalf("%v: timeline lacks %q:\n%s", alg, want, tl)
+		}
+		var steals int64
+		for i := range fb.PerWorker {
+			w := &fb.PerWorker[i]
+			row := fmt.Sprintf("%-6d  %10.3f  %10.3f  %10.3f  |", i,
+				float64(w.BusyNS())/1e6, float64(w.WaitNS)/1e6, float64(w.ImbalanceNS)/1e6)
+			if !strings.Contains(tl, row) {
+				t.Fatalf("%v: timeline lacks worker row %q:\n%s", alg, row, tl)
+			}
+			steals += w.Steals
+		}
+		if scan != info.Scanlines || steals != int64(info.Steals) {
+			t.Fatalf("%v: breakdown counts %d scanlines / %d steals, FrameInfo %d / %d",
+				alg, scan, steals, info.Scanlines, info.Steals)
+		}
+
 		// The instrumented render must be byte-identical to the plain one.
 		plain := NewMRIPhantom(20, Config{Algorithm: alg, Procs: procs})
 		pim, _ := plain.Render(30, 15)
@@ -81,6 +108,17 @@ func TestCollectStatsRayCastAndDisabled(t *testing.T) {
 	off.Render(30, 15)
 	if off.LastBreakdown() != nil {
 		t.Fatal("breakdown present without CollectStats")
+	}
+	// A recorder that drops the frame's spans yields no breakdown, never a
+	// partial one.
+	full := telemetry.NewFrameSpans(time.Now())
+	for full.Dropped() == 0 {
+		full.Record(-1, "filler", telemetry.CatRequest, time.Now(), 0)
+	}
+	off.SetSpanRecorder(full)
+	off.Render(30, 15)
+	if off.LastBreakdown() != nil {
+		t.Fatal("breakdown derived from a recorder that dropped spans")
 	}
 }
 

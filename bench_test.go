@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/composite"
@@ -23,6 +24,7 @@ import (
 	"shearwarp/internal/render"
 	"shearwarp/internal/rendermode"
 	"shearwarp/internal/rle"
+	"shearwarp/internal/telemetry"
 	"shearwarp/internal/vol"
 	"shearwarp/internal/warp"
 	"shearwarp/internal/xform"
@@ -94,27 +96,34 @@ func BenchmarkNewParallelFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkNewParallelFramePerf is BenchmarkNewParallelFrame with the
-// perf collector attached — the delta against the plain benchmark is the
-// observability layer's overhead (TestPerfOverheadGuard bounds the clock
-// reads and records behind it; `go run ./bench` times it as
-// perf.collect_overhead_frac).
+// BenchmarkNewParallelFramePerf is BenchmarkNewParallelFrame with a span
+// recorder attached and each frame's breakdown derived from its spans —
+// the delta against the plain benchmark is the observability layer's
+// overhead (TestPerfOverheadGuard bounds the clock reads and records
+// behind it; `go run ./bench` times it as perf.collect_overhead_frac).
 func BenchmarkNewParallelFramePerf(b *testing.B) {
 	r := render.New(vol.MRIBrain(64), render.Options{PreprocProcs: 4})
 	nr := newalg.NewRenderer(r, newalg.Config{Procs: 4})
-	nr.Perf = perf.NewCollector(4)
+	epoch := time.Now()
+	fs := telemetry.NewFrameSpans(epoch)
+	nr.Spans = fs
+	var fb perf.FrameBreakdown
 	const step = 3 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
 	yaw := 30 * math.Pi / 180
-	for i := 0; i < 130; i++ { // full rotation: warm all axes and buffers
+	frame := func() {
 		yaw += step
+		fs.Reset(epoch)
 		nr.RenderFrame(yaw, pitch)
+		telemetry.Breakdown(&fb, 4, fs.Spans(), fs.Dropped())
+	}
+	for i := 0; i < 130; i++ { // full rotation: warm all axes and buffers
+		frame()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yaw += step
-		nr.RenderFrame(yaw, pitch)
+		frame()
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -154,7 +155,10 @@ func main() {
 			fb := bd.Frame()
 			cum.Add(fb)
 			if *statsJSON != "" {
-				breakdowns = append(breakdowns, fb)
+				// The renderer reuses its breakdown; keep a copy.
+				c := *fb
+				c.PerWorker = slices.Clone(fb.PerWorker)
+				breakdowns = append(breakdowns, &c)
 			}
 			if *statsFlag {
 				fmt.Print(bd.Table())

@@ -63,12 +63,11 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "longest admission wait before 503")
 	renderTimeout := flag.Duration("render-timeout", 30*time.Second, "request deadline to start rendering")
 	cacheMB := flag.Int64("cache-mb", 256, "preprocessing cache budget in MiB (<0 = unbounded)")
-	stats := flag.Bool("stats", true, "collect per-frame phase breakdowns for /metrics")
 	watchdog := flag.Duration("watchdog", 0, "cancel frames still rendering after this long and answer 500 (0 = off)")
 	faultSpec := flag.String("fault-spec", "", "inject deterministic faults for chaos testing, e.g. 'panic@composite:w=1;delay@scanline:n=100:d=2ms' (see internal/faultinject)")
 	logFormat := flag.String("log-format", "", "structured log format: text | json (empty = logging off)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
-	traceRing := flag.Int("trace-ring", 64, "recent request traces retained for /debug/spans (<0 = tracing off)")
+	traceRing := flag.Int("trace-ring", 64, "recent request traces retained for /debug/spans (<0 = none, /debug/spans off)")
 	sloSpec := flag.String("slo", slo.DefaultSpec, "service-level objectives for /debug/slo, e.g. 'latency@/render:le=250ms:target=99%;availability@/render:target=99.9%' (empty = engine off)")
 	sloInterval := flag.Duration("slo-interval", 10*time.Second, "SLO engine background sampling period")
 	tenants := flag.Int("tenants", 0, "register N extra synthetic volumes (vol00..) with distinct content for multi-tenant load tests")
@@ -113,7 +112,6 @@ func main() {
 		QueueTimeout:    *queueTimeout,
 		RenderTimeout:   *renderTimeout,
 		CacheBytes:      *cacheMB << 20,
-		CollectStats:    *stats,
 		WatchdogTimeout: *watchdog,
 		Faults:          faults,
 		Logger:          logger,

@@ -1,5 +1,5 @@
 // Package faultinject is the deterministic fault-injection layer of the
-// render stack. Like trace.Tracer and perf.Collector, an injector is an
+// render stack. Like trace.Tracer and telemetry.FrameSpans, an injector is an
 // optional pointer threaded through the renderers: every instrumented
 // site nil-checks it, so the disabled path costs one predictable branch
 // and zero allocations, and the production kernels stay byte-identical.

@@ -12,7 +12,6 @@ import (
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
 	"shearwarp/internal/par"
-	"shearwarp/internal/perf"
 	"shearwarp/internal/render"
 	"shearwarp/internal/telemetry"
 	"shearwarp/internal/warp"
@@ -93,15 +92,6 @@ type Renderer struct {
 	R   *render.Renderer
 	Cfg Config
 
-	// Perf, when non-nil, collects per-worker phase timings and work
-	// counters for each frame (the native Figure-5/6 breakdown). Like the
-	// trace.Tracer split in the kernels, every instrumentation site is
-	// nil-checked so the default path performs no clock reads and renders
-	// byte-identically. Set it before the first RenderFrame; it is reset
-	// at the start of every frame and snapshotted with Perf.Breakdown
-	// after RenderFrame returns.
-	Perf *perf.Collector
-
 	// Faults, when non-nil, injects deterministic faults at the worker
 	// phase sites (internal/faultinject). Nil-checked everywhere; the
 	// disabled path costs one branch per site. Set it between frames only.
@@ -109,11 +99,10 @@ type Renderer struct {
 
 	// Spans, when non-nil, receives one timestamped span per worker phase
 	// (clear, rendezvous wait, composite-own/steal, band-wait, warp) —
-	// the raw material for the service's per-request traces and the
-	// paper's Figure 5/6 timeline. The recorder shares the perf
-	// collector's clock reads, so attaching both costs no extra time
-	// calls; like Perf it is nil-checked at every site and must only be
-	// swapped between frames.
+	// the raw material for the service's per-request traces and for the
+	// paper's Figure 5/6 breakdown (telemetry.Breakdown). Nil-checked at
+	// every site, so the default path performs no clock reads and renders
+	// byte-identically; swap it only between frames.
 	Spans *telemetry.FrameSpans
 
 	profile    []int64
@@ -213,8 +202,6 @@ func (nr *Renderer) RenderFrameCtx(ctx context.Context, yaw, pitch float64) (*Re
 		return nil, err
 	}
 	cfg := nr.Cfg
-	pc := nr.Perf
-	pc.Reset(cfg.Procs)
 
 	if nr.bandCond == nil {
 		nr.bandCond = sync.NewCond(&nr.bmu)
@@ -263,12 +250,10 @@ func (nr *Renderer) RenderFrameCtx(ctx context.Context, yaw, pitch float64) (*Re
 	nr.ensureWorkers(cfg.Procs)
 	nr.clearWG.Add(cfg.Procs)
 	nr.frameWG.Add(cfg.Procs)
-	pc.FrameStart()
 	for p := 0; p < cfg.Procs; p++ {
 		nr.start[p] <- struct{}{}
 	}
 	nr.frameWG.Wait()
-	pc.FrameEnd()
 	if task != nil {
 		task.End()
 	}
@@ -554,18 +539,14 @@ func (nr *Renderer) waitBand(q int) {
 func (nr *Renderer) renderWorker(p int, st *workerRec) {
 	fr := &nr.fr
 	procs := len(nr.start)
-	pc := nr.Perf
 	sr := nr.Spans
 	fi := nr.Faults
 	ctx := nr.traceCtx
-	// One timing gate for both recorders: perf's AddPhase and the span
-	// recorder's Record are nil-safe, so each site reads the clock once
-	// and feeds both.
-	timed := pc != nil || sr != nil
-	var tw, t0 time.Time
-	if timed {
-		tw = time.Now()
-		t0 = tw
+	// Each timed site reads the clock once and records one span ending
+	// there; the next span starts where it ended.
+	var t0 time.Time
+	if sr != nil {
+		t0 = time.Now()
 	}
 
 	// Parallel clear: each worker wipes one horizontal stripe of the
@@ -577,20 +558,18 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 	reg := rtrace.StartRegion(ctx, "clear")
 	nr.fr.M.ClearRows(p*fr.M.H/procs, (p+1)*fr.M.H/procs)
 	reg.End()
-	if timed {
-		d := time.Since(t0)
-		pc.AddPhase(p, perf.PhaseClear, d)
-		sr.Record(p, "clear", telemetry.CatBusy, t0, d)
-		t0 = time.Now()
+	if sr != nil {
+		now := time.Now()
+		sr.Record(p, "clear", telemetry.CatBusy, t0, now.Sub(t0))
+		t0 = now
 	}
 	nr.clearWG.Done()
 	st.cleared = true
 	nr.clearWG.Wait()
-	if timed {
-		d := time.Since(t0)
-		pc.AddPhase(p, perf.PhaseWait, d)
-		sr.Record(p, "clear-rendezvous", telemetry.CatSync, t0, d)
-		t0 = time.Now()
+	if sr != nil {
+		now := time.Now()
+		sr.Record(p, "clear-rendezvous", telemetry.CatSync, t0, now.Sub(t0))
+		t0 = now
 	}
 	if nr.abortFlag.Load() {
 		return
@@ -617,11 +596,10 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 		nr.runChunk(cc, ps, p, c, p)
 	}
 	reg.End()
-	if timed {
-		d := time.Since(t0)
-		pc.AddPhase(p, perf.PhaseCompositeOwn, d)
-		sr.Record(p, "composite-own", telemetry.CatBusy, t0, d)
-		t0 = time.Now()
+	if sr != nil {
+		now := time.Now()
+		sr.Record(p, "composite-own", telemetry.CatBusy, t0, now.Sub(t0))
+		t0 = now
 	}
 	if !nr.Cfg.DisableSteal {
 		st.phase = "steal"
@@ -642,10 +620,10 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 			nr.runChunk(cc, ps, p, c, band)
 		}
 		reg.End()
-		if timed {
-			d := time.Since(t0)
-			pc.AddPhase(p, perf.PhaseCompositeSteal, d)
-			sr.Record(p, "composite-steal", telemetry.CatBusy, t0, d)
+		if sr != nil {
+			now := time.Now()
+			sr.Record(p, "composite-steal", telemetry.CatBusy, t0, now.Sub(t0))
+			t0 = now
 		}
 	}
 	nr.ctxPool.Put(cc)
@@ -667,19 +645,15 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 		if fi != nil {
 			fi.Visit("band-wait", p, tk.NeedLo)
 		}
-		if timed {
-			t0 = time.Now()
-		}
 		reg = rtrace.StartRegion(ctx, "band-wait")
 		for q := tk.NeedLo; q <= tk.NeedHi; q++ {
 			nr.waitBand(q)
 		}
 		reg.End()
-		if timed {
-			d := time.Since(t0)
-			pc.AddPhase(p, perf.PhaseWait, d)
-			sr.Record(p, "band-wait", telemetry.CatSync, t0, d)
-			t0 = time.Now()
+		if sr != nil {
+			now := time.Now()
+			sr.Record(p, "band-wait", telemetry.CatSync, t0, now.Sub(t0))
+			t0 = now
 		}
 		if nr.abortFlag.Load() {
 			return // bands may be incomplete after an abort: do not warp them
@@ -699,20 +673,11 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 			}
 		}
 		reg.End()
-		if timed {
-			d := time.Since(t0)
-			pc.AddPhase(p, perf.PhaseWarp, d)
-			sr.Record(p, "warp", telemetry.CatBusy, t0, d)
+		if sr != nil {
+			now := time.Now()
+			sr.Record(p, "warp", telemetry.CatBusy, t0, now.Sub(t0))
+			t0 = now
 		}
-	}
-
-	if pc != nil {
-		pc.AddPhase(p, perf.PhaseTotal, time.Since(tw))
-		pc.AddCount(p, perf.CounterScanlines, ps.Composite.Scanlines)
-		pc.AddCount(p, perf.CounterChunks, int64(ps.Chunks))
-		pc.AddCount(p, perf.CounterSteals, int64(ps.Steals))
-		pc.AddCount(p, perf.CounterEarlyTerm, ps.Composite.Skips)
-		pc.AddCount(p, perf.CounterWarpSpans, ps.Warp.Rows)
 	}
 }
 

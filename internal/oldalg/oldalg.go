@@ -26,7 +26,6 @@ import (
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
 	"shearwarp/internal/par"
-	"shearwarp/internal/perf"
 	"shearwarp/internal/render"
 	"shearwarp/internal/telemetry"
 	"shearwarp/internal/warp"
@@ -37,17 +36,14 @@ type Config struct {
 	Procs     int // number of workers; 0 means 1
 	ChunkSize int // scanlines per compositing chunk; 0 selects a heuristic
 	TileSize  int // warp tile edge in pixels; 0 selects 32
-	// Perf, when non-nil, collects per-worker phase timings and work
-	// counters (the native Figure-5/6 breakdown). All instrumentation is
-	// nil-checked, so the default path performs no clock reads.
-	Perf *perf.Collector
 	// Faults, when non-nil, injects deterministic faults at the worker
 	// phase sites (internal/faultinject). Nil-checked everywhere.
 	Faults *faultinject.Injector
 	// Spans, when non-nil, receives one timestamped span per worker phase
-	// (per-chunk composite own/steal, barrier wait, warp) for the
-	// service's per-request traces. It shares Perf's clock reads and is
-	// nil-checked at every site.
+	// (composite own, composite steal, barrier wait, warp) for the
+	// service's per-request traces and the Figure 5/6 breakdown
+	// (telemetry.Breakdown). Nil-checked at every site, so the default
+	// path performs no clock reads.
 	Spans *telemetry.FrameSpans
 }
 
@@ -173,8 +169,6 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 	}
 	cfg.normalize(fr)
 	res := &Result{Out: fr.Out, PerProc: make([]ProcStats, cfg.Procs)}
-	pc := cfg.Perf
-	pc.Reset(cfg.Procs)
 
 	// One runtime/trace task per frame; worker phase regions attach to it.
 	tctx := context.Background()
@@ -197,7 +191,6 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 	}
 
 	var wg sync.WaitGroup
-	pc.FrameStart()
 	for p := 0; p < cfg.Procs; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -217,20 +210,20 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 				}
 			}()
 			ps := &res.PerProc[p]
-			// One timing gate for both recorders; AddPhase and Record are
-			// nil-safe, so each site reads the clock once and feeds both.
-			timed := pc != nil || sr != nil
-			var tw, t0 time.Time
-			if timed {
-				tw = time.Now()
-				t0 = tw
+			// Each timed site reads the clock once and records one span
+			// ending there; the next span starts where it ended.
+			var t0 time.Time
+			if sr != nil {
+				t0 = time.Now()
 			}
 
-			// Compositing phase: own chunks, then stealing. Chunk times
-			// are attributed to the own or steal bucket as they complete.
-			// The abort flag is polled per scanline; an aborting worker
-			// drains to the barrier rather than returning, so the barrier
-			// count stays intact.
+			// Compositing phase: own chunks, then stealing. The queue
+			// hands out every own chunk before the first stolen one, so
+			// the own span ends when the first steal begins and one
+			// steal span covers the rest. The abort flag is polled per
+			// scanline; an aborting worker drains to the barrier rather
+			// than returning, so the barrier count stays intact.
+			stealing := false
 			cc := fr.NewCompositeCtx()
 			reg := rtrace.StartRegion(tctx, "composite")
 		compositing:
@@ -242,6 +235,14 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 					break
 				}
 				band = p
+				if stolen && !stealing {
+					stealing = true
+					if sr != nil {
+						now := time.Now()
+						sr.Record(p, "composite-own", telemetry.CatBusy, t0, now.Sub(t0))
+						t0 = now
+					}
+				}
 				if fi != nil {
 					if stolen {
 						fi.Visit("steal", p, -1)
@@ -262,18 +263,17 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 					}
 					cc.Scanline(row, &ps.Composite)
 				}
-				if timed {
-					ph, name := perf.PhaseCompositeOwn, "composite-own"
-					if stolen {
-						ph, name = perf.PhaseCompositeSteal, "composite-steal"
-					}
-					d := time.Since(t0)
-					pc.AddPhase(p, ph, d)
-					sr.Record(p, name, telemetry.CatBusy, t0, d)
-					t0 = time.Now()
-				}
 			}
 			reg.End()
+			if sr != nil {
+				name := "composite-own"
+				if stealing {
+					name = "composite-steal"
+				}
+				now := time.Now()
+				sr.Record(p, name, telemetry.CatBusy, t0, now.Sub(t0))
+				t0 = now
+			}
 
 			// Global barrier between compositing and warping.
 			phase, band = "barrier", -1
@@ -284,11 +284,10 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 			barrier.Wait()
 			arrivedBarrier = true
 			reg.End()
-			if timed {
-				d := time.Since(t0)
-				pc.AddPhase(p, perf.PhaseWait, d)
-				sr.Record(p, "barrier-wait", telemetry.CatSync, t0, d)
-				t0 = time.Now()
+			if sr != nil {
+				now := time.Now()
+				sr.Record(p, "barrier-wait", telemetry.CatSync, t0, now.Sub(t0))
+				t0 = now
 			}
 			if ab.flag.Load() {
 				return
@@ -311,23 +310,12 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 				ps.Tiles++
 			}
 			reg.End()
-			if timed {
-				d := time.Since(t0)
-				pc.AddPhase(p, perf.PhaseWarp, d)
-				sr.Record(p, "warp", telemetry.CatBusy, t0, d)
-			}
-			if pc != nil {
-				pc.AddPhase(p, perf.PhaseTotal, time.Since(tw))
-				pc.AddCount(p, perf.CounterScanlines, ps.Composite.Scanlines)
-				pc.AddCount(p, perf.CounterChunks, int64(ps.Chunks))
-				pc.AddCount(p, perf.CounterSteals, int64(ps.Steals))
-				pc.AddCount(p, perf.CounterEarlyTerm, ps.Composite.Skips)
-				pc.AddCount(p, perf.CounterWarpSpans, ps.Warp.Rows)
+			if sr != nil {
+				sr.Record(p, "warp", telemetry.CatBusy, t0, time.Since(t0))
 			}
 		}(p)
 	}
 	wg.Wait()
-	pc.FrameEnd()
 	if task != nil {
 		task.End()
 	}

@@ -2,9 +2,11 @@ package oldalg
 
 import (
 	"testing"
+	"time"
 
 	"shearwarp/internal/img"
 	"shearwarp/internal/render"
+	"shearwarp/internal/telemetry"
 	"shearwarp/internal/vol"
 )
 
@@ -104,5 +106,37 @@ func TestZeroConfigDefaults(t *testing.T) {
 	want, _ := r.RenderSerial(0.3, 0.1)
 	if !img.Equal(want, res.Out) {
 		t.Fatal("default config image differs from serial")
+	}
+}
+
+// TestSpanCountBoundedByWorkers: a worker records one own and one stolen
+// compositing span however many chunks it takes, so a tall image cut into
+// one-scanline chunks still fits the recorder — more chunks than the
+// recorder has slots — and the frame's breakdown stays derivable.
+func TestSpanCountBoundedByWorkers(t *testing.T) {
+	v := vol.New(12, 600, 12)
+	for i := range v.Data {
+		v.Data[i] = uint8(i * 7)
+	}
+	r := render.New(v, render.Options{})
+	if h := r.Setup(0, 0).M.H; h < 512 {
+		t.Fatalf("intermediate image has %d rows; the test needs more chunks than the recorder's 512 slots", h)
+	}
+	fs := telemetry.NewFrameSpans(time.Now())
+	const procs = 4
+	Render(r, 0, 0, Config{Procs: procs, ChunkSize: 1, Spans: fs})
+	if fs.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d spans", fs.Dropped())
+	}
+	perWorker := make([]int, procs)
+	for _, sp := range fs.Spans() {
+		if sp.Worker >= 0 {
+			perWorker[sp.Worker]++
+		}
+	}
+	for w, n := range perWorker {
+		if n < 1 || n > 4 { // own, steal, barrier-wait, warp
+			t.Fatalf("worker %d recorded %d spans, want 1..4", w, n)
+		}
 	}
 }

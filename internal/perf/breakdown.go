@@ -11,6 +11,7 @@ import (
 // Figure 5/6 vocabulary: busy time split by phase, explicit
 // synchronization time, and load-imbalance time (the part of the frame's
 // wall clock this worker spent neither busy nor in a tracked wait).
+// TotalNS is the time the worker's spans record, busy plus wait.
 type WorkerBreakdown struct {
 	Worker           int   `json:"worker"`
 	ClearNS          int64 `json:"clear_ns"`
@@ -33,46 +34,14 @@ func (w *WorkerBreakdown) BusyNS() int64 {
 }
 
 // FrameBreakdown is the per-worker execution-time breakdown of one frame,
-// the native analog of the paper's Figure 5/6 stacked bars.
+// the native analog of the paper's Figure 5/6 stacked bars. WallNS is the
+// envelope of the frame's worker spans: first worker span start to last
+// worker span end.
 type FrameBreakdown struct {
 	Algorithm string            `json:"algorithm"`
 	Workers   int               `json:"workers"`
 	WallNS    int64             `json:"wall_ns"`
 	PerWorker []WorkerBreakdown `json:"per_worker"`
-}
-
-// Breakdown snapshots the collector into a FrameBreakdown. Call it only
-// after the frame's completion barrier (no workers still writing).
-func (c *Collector) Breakdown(algorithm string) *FrameBreakdown {
-	if c == nil {
-		return nil
-	}
-	fb := &FrameBreakdown{
-		Algorithm: algorithm,
-		Workers:   len(c.slots),
-		WallNS:    c.wallNS,
-		PerWorker: make([]WorkerBreakdown, len(c.slots)),
-	}
-	for p := range c.slots {
-		s := &c.slots[p]
-		w := &fb.PerWorker[p]
-		w.Worker = p
-		w.ClearNS = s.phaseNS[PhaseClear]
-		w.CompositeOwnNS = s.phaseNS[PhaseCompositeOwn]
-		w.CompositeStealNS = s.phaseNS[PhaseCompositeSteal]
-		w.WaitNS = s.phaseNS[PhaseWait]
-		w.WarpNS = s.phaseNS[PhaseWarp]
-		w.TotalNS = s.phaseNS[PhaseTotal]
-		if imb := fb.WallNS - w.BusyNS() - w.WaitNS; imb > 0 {
-			w.ImbalanceNS = imb
-		}
-		w.Scanlines = s.counts[CounterScanlines]
-		w.Chunks = s.counts[CounterChunks]
-		w.Steals = s.counts[CounterSteals]
-		w.EarlyTermSkips = s.counts[CounterEarlyTerm]
-		w.WarpSpans = s.counts[CounterWarpSpans]
-	}
-	return fb
 }
 
 // ImbalanceFrac is the frame's aggregate load-imbalance fraction: the

@@ -1,20 +1,15 @@
-// Package perf is the native-execution observability layer: per-worker,
-// per-frame phase timers and work counters that reproduce the paper's
-// Figure 5/6 execution-time breakdowns (busy vs. synchronization vs. load
-// imbalance in the compositing and warp phases) from real wall-clock runs
-// rather than the cycle simulator.
+// Package perf is the vocabulary of the native-execution phase breakdowns:
+// per-worker, per-frame phase times and work counters that reproduce the
+// paper's Figure 5/6 execution-time breakdowns (busy vs. synchronization
+// vs. load imbalance in the compositing and warp phases) from real
+// wall-clock runs rather than the cycle simulator.
 //
-// The design mirrors the trace.Tracer split: renderers hold a *Collector
-// that is nil in the default (uninstrumented) path, and every
-// instrumentation site is guarded by a nil check, so the disabled path
-// adds no clock reads, no allocations, and no change in output. When a
-// Collector is attached, each worker records nanosecond durations into
-// its own cache-line-padded slot — no sharing, no atomics on the hot
-// path — and the main goroutine aggregates the slots into a
-// FrameBreakdown after the frame's completion barrier.
+// The renderers record nothing here. Their workers write timestamped spans
+// into a telemetry.FrameSpans recorder, and telemetry.Breakdown derives a
+// FrameBreakdown from those spans after the frame's completion barrier, so
+// every view of a frame — LastBreakdown, the span timeline, the server's
+// phase histograms — reads the same numbers.
 package perf
-
-import "time"
 
 // Phase identifies one timed section of a frame.
 type Phase int
@@ -33,7 +28,8 @@ const (
 	NumPhases
 )
 
-// String returns the short phase name used in tables and JSON.
+// String returns the short phase name used in tables and JSON. The busy
+// phases' names are also the names of the spans the renderers record.
 func (p Phase) String() string {
 	switch p {
 	case PhaseClear:
@@ -80,119 +76,4 @@ func (c Counter) String() string {
 		return "warp-spans"
 	}
 	return "unknown"
-}
-
-// slotPad rounds the slot up to a multiple of two cache lines so adjacent
-// workers never share a line (and the adjacent-line prefetcher never
-// couples them either).
-const slotPad = 128
-
-// slot is one worker's private accumulation area.
-type slot struct {
-	phaseNS [NumPhases]int64
-	counts  [NumCounters]int64
-	_       [slotPad - (int(NumPhases)+int(NumCounters))*8%slotPad]byte
-}
-
-// Collector accumulates one frame's per-worker timings. It is reused
-// across frames via Reset; all per-worker methods are safe for concurrent
-// use by distinct workers (each touches only its own padded slot) and are
-// no-ops on a nil receiver, though hot paths should still nil-check to
-// skip the clock reads.
-type Collector struct {
-	slots      []slot
-	frameStart time.Time
-	wallNS     int64
-}
-
-// NewCollector returns a collector with one padded slot per worker.
-func NewCollector(workers int) *Collector {
-	c := &Collector{}
-	c.Reset(workers)
-	return c
-}
-
-// Reset zeroes the collector for a new frame with the given worker count,
-// reusing the slot array when it is large enough. No-op on nil.
-func (c *Collector) Reset(workers int) {
-	if c == nil {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cap(c.slots) >= workers {
-		c.slots = c.slots[:workers]
-		clear(c.slots)
-	} else {
-		c.slots = make([]slot, workers)
-	}
-	c.wallNS = 0
-	c.frameStart = time.Time{}
-}
-
-// Workers returns the number of per-worker slots.
-func (c *Collector) Workers() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.slots)
-}
-
-// FrameStart marks the beginning of the frame's parallel section.
-func (c *Collector) FrameStart() {
-	if c == nil {
-		return
-	}
-	c.frameStart = time.Now()
-}
-
-// FrameEnd marks the end of the frame's parallel section, fixing the wall
-// time that the imbalance computation is measured against.
-func (c *Collector) FrameEnd() {
-	if c == nil {
-		return
-	}
-	c.wallNS = int64(time.Since(c.frameStart))
-}
-
-// AddPhase charges d of phase ph to worker p.
-func (c *Collector) AddPhase(p int, ph Phase, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.slots[p].phaseNS[ph] += int64(d)
-}
-
-// AddCount adds n to worker p's counter ct.
-func (c *Collector) AddCount(p int, ct Counter, n int64) {
-	if c == nil {
-		return
-	}
-	c.slots[p].counts[ct] += n
-}
-
-// PhaseNS returns worker p's accumulated nanoseconds in phase ph.
-func (c *Collector) PhaseNS(p int, ph Phase) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.slots[p].phaseNS[ph]
-}
-
-// CountVal returns worker p's counter ct.
-func (c *Collector) CountVal(p int, ct Counter) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.slots[p].counts[ct]
-}
-
-// WallNS returns the frame's wall-clock duration in nanoseconds (0 until
-// FrameEnd).
-func (c *Collector) WallNS() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.wallNS
 }

@@ -15,7 +15,6 @@ import (
 	"shearwarp/internal/composite"
 	"shearwarp/internal/faultinject"
 	"shearwarp/internal/img"
-	"shearwarp/internal/perf"
 	"shearwarp/internal/rendermode"
 	"shearwarp/internal/rle"
 	"shearwarp/internal/telemetry"
@@ -231,37 +230,26 @@ func (s *FrameStats) TotalCycles() int64 { return s.Composite.Cycles + s.Warp.Cy
 
 // RenderSerial renders one frame with the sequential algorithm: composite
 // every intermediate scanline top to bottom, then warp the whole final
-// image.
+// image. It re-panics a *FrameError if the frame panicked; services use
+// RenderSerialCtx.
 func (r *Renderer) RenderSerial(yaw, pitch float64) (*img.Final, FrameStats) {
-	return r.RenderSerialPerf(yaw, pitch, nil)
-}
-
-// RenderSerialPerf is RenderSerial with an optional perf collector
-// recording the compositing and warp phase times as a one-worker
-// breakdown. A nil collector adds no clock reads (the same nil-check
-// split the parallel renderers use). It re-panics a *FrameError if the
-// frame panicked; services use RenderSerialCtx.
-func (r *Renderer) RenderSerialPerf(yaw, pitch float64, pc *perf.Collector) (*img.Final, FrameStats) {
-	out, st, err := r.RenderSerialCtx(context.Background(), yaw, pitch, pc)
+	out, st, err := r.RenderSerialCtx(context.Background(), yaw, pitch)
 	if err != nil {
 		panic(err)
 	}
 	return out, st
 }
 
-// RenderSerialCtx is RenderSerialPerf with cooperative cancellation and
+// RenderSerialCtx is RenderSerial with cooperative cancellation and
 // panic containment: the context is polled once per composited scanline
 // (and once before the warp), and a panic anywhere in the frame —
 // factorization of a degenerate view, a compositing invariant, an
 // injected fault — is recovered into a *FrameError. On error the returned
 // image is nil.
-func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *perf.Collector) (out *img.Final, st FrameStats, err error) {
+func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64) (out *img.Final, st FrameStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FrameStats{}, err
 	}
-	pc.Reset(1)
-	pc.FrameStart()
-	defer pc.FrameEnd()
 
 	phase := "setup"
 	defer func() {
@@ -273,13 +261,17 @@ func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *
 	fi := r.Faults
 	sr := r.Spans
 	fi.Visit("setup", 0, -1)
-	var tSetup time.Time
+	// Each timed site reads the clock once: its span ends where the next
+	// one starts.
+	var t0 time.Time
 	if sr != nil {
-		tSetup = time.Now()
+		t0 = time.Now()
 	}
 	fr := r.Setup(yaw, pitch)
 	if sr != nil {
-		sr.Record(-1, "setup", telemetry.CatRequest, tSetup, time.Since(tSetup))
+		now := time.Now()
+		sr.Record(-1, "setup", telemetry.CatRequest, t0, now.Sub(t0))
+		t0 = now
 	}
 
 	tctx := context.Background()
@@ -293,12 +285,6 @@ func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *
 		}
 	}()
 
-	timed := pc != nil || sr != nil
-	var tw, t0 time.Time
-	if timed {
-		tw = time.Now()
-		t0 = tw
-	}
 	phase = "composite"
 	cc := fr.NewCompositeCtx()
 	reg := rtrace.StartRegion(tctx, "composite")
@@ -313,11 +299,10 @@ func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *
 		cc.Scanline(vRow, &st.Composite)
 	}
 	reg.End()
-	if timed {
-		d := time.Since(t0)
-		pc.AddPhase(0, perf.PhaseCompositeOwn, d)
-		sr.Record(0, "composite-own", telemetry.CatBusy, t0, d)
-		t0 = time.Now()
+	if sr != nil {
+		now := time.Now()
+		sr.Record(0, "composite-own", telemetry.CatBusy, t0, now.Sub(t0))
+		t0 = now
 	}
 	if ctx.Err() != nil {
 		return nil, FrameStats{}, ctx.Err()
@@ -328,16 +313,8 @@ func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64, pc *
 	reg = rtrace.StartRegion(tctx, "warp")
 	wc.WarpTile(0, 0, fr.Out.W, fr.Out.H, &st.Warp)
 	reg.End()
-	if timed {
-		d := time.Since(t0)
-		pc.AddPhase(0, perf.PhaseWarp, d)
-		sr.Record(0, "warp", telemetry.CatBusy, t0, d)
-	}
-	if pc != nil {
-		pc.AddPhase(0, perf.PhaseTotal, time.Since(tw))
-		pc.AddCount(0, perf.CounterScanlines, st.Composite.Scanlines)
-		pc.AddCount(0, perf.CounterEarlyTerm, st.Composite.Skips)
-		pc.AddCount(0, perf.CounterWarpSpans, st.Warp.Rows)
+	if sr != nil {
+		sr.Record(0, "warp", telemetry.CatBusy, t0, time.Since(t0))
 	}
 	// A cancellation during the warp loses the race against completion;
 	// honour the context anyway so a cancelled frame never reports success.

@@ -1,6 +1,7 @@
 package rle
 
 import (
+	"slices"
 	"testing"
 
 	"shearwarp/internal/classify"
@@ -141,13 +142,14 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSpanDecodeSoAEquivalence pins the contract the compositing kernels
-// build on: windowing the encode-time SoA span index (AppendSpansSoA) and
-// walking the run headers scalar-style (AppendSpans) must visit the same
+// FuzzSpanDecodeSoAEquivalence pins the contract the compositing kernel
+// builds on: the window of the encode-time span index it reads for a
+// scanline — SpanLo/SpanCnt/SpanVox[SpanOff[s]:SpanOff[s+1]] — and the
+// scalar walk of the run headers (AppendSpans) must describe the same
 // spans in the same order, with identical (offset, count, voxel offset)
-// triples, and the index's class byte must equal the maximum opacity over
-// the span's packed voxels. The kernels consume only the SoA side, so any
-// divergence here would silently change rendered frames.
+// triples, and each window entry must point at exactly its span's voxels
+// in Vox. The kernel reads only the window, so any divergence here would
+// silently change rendered frames.
 func FuzzSpanDecodeSoAEquivalence(f *testing.F) {
 	f.Add([]byte{0}, uint8(2), uint8(2), uint8(2), uint8(4), uint8(0))                         // all transparent
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3), uint8(2), uint8(4), uint8(4), uint8(1))    // all opaque
@@ -163,11 +165,10 @@ func FuzzSpanDecodeSoAEquivalence(f *testing.F) {
 		c := buildClassified(data, nx, ny, nz, minOp)
 		v := Encode(c, axis)
 
-		// The SoA index must be index-aligned and scanline-monotone.
+		// The index must be index-aligned and scanline-monotone.
 		nSpans := len(v.SpanLo)
-		if len(v.SpanCnt) != nSpans || len(v.SpanVox) != nSpans || len(v.SpanClass) != nSpans {
-			t.Fatalf("SoA arrays misaligned: lo %d cnt %d vox %d class %d",
-				nSpans, len(v.SpanCnt), len(v.SpanVox), len(v.SpanClass))
+		if len(v.SpanCnt) != nSpans || len(v.SpanVox) != nSpans {
+			t.Fatalf("index arrays misaligned: lo %d cnt %d vox %d", nSpans, len(v.SpanCnt), len(v.SpanVox))
 		}
 		if got, want := len(v.SpanOff), v.Nk*v.Nj+1; got != want {
 			t.Fatalf("len(SpanOff) = %d, want %d", got, want)
@@ -176,47 +177,28 @@ func FuzzSpanDecodeSoAEquivalence(f *testing.F) {
 			t.Fatalf("SpanOff end %d != span count %d", v.SpanOff[len(v.SpanOff)-1], nSpans)
 		}
 
-		var b SpanBuf
 		for k := 0; k < v.Nk; k++ {
 			for j := 0; j < v.Nj; j++ {
 				s := v.ScanlineID(k, j)
-				if v.SpanOff[s] > v.SpanOff[s+1] {
+				a, b := v.SpanOff[s], v.SpanOff[s+1]
+				if a > b {
 					t.Fatalf("scanline %d: non-monotone SpanOff", s)
 				}
-
+				lo, cnt, vox := v.SpanLo[a:b], v.SpanCnt[a:b], v.SpanVox[a:b]
 				scalar := v.AppendSpans(k, j, nil)
-				b.Reset()
-				v.AppendSpansSoA(k, j, &b)
-				if b.Len() != len(scalar) {
-					t.Fatalf("scanline %d: SoA decodes %d spans, scalar run walk %d",
-						s, b.Len(), len(scalar))
+				if len(lo) != len(scalar) {
+					t.Fatalf("scanline %d: window holds %d spans, scalar run walk %d", s, len(lo), len(scalar))
 				}
-
-				_, vox := v.Scanline(k, j)
+				base := v.VoxOff[s]
+				_, line := v.Scanline(k, j)
 				for n, sp := range scalar {
-					if int(b.Lo[n]) != sp.Start {
-						t.Fatalf("scanline %d span %d: SoA offset %d, scalar %d",
-							s, n, b.Lo[n], sp.Start)
+					if int(lo[n]) != sp.Start || int(cnt[n]) != sp.End-sp.Start || int(vox[n]-base) != sp.VoxStart {
+						t.Fatalf("scanline %d span %d: window (offset %d, count %d, voxel %d), scalar (%d, %d, %d)",
+							s, n, lo[n], cnt[n], vox[n]-base, sp.Start, sp.End-sp.Start, sp.VoxStart)
 					}
-					if int(b.Cnt[n]) != sp.End-sp.Start {
-						t.Fatalf("scanline %d span %d: SoA count %d, scalar %d",
-							s, n, b.Cnt[n], sp.End-sp.Start)
-					}
-					if int(b.Vox[n]) != sp.VoxStart {
-						t.Fatalf("scanline %d span %d: SoA voxel offset %d, scalar %d",
-							s, n, b.Vox[n], sp.VoxStart)
-					}
-					// The class byte must be the exact max opacity of the
-					// span's voxels — kernels skip class-0 spans entirely.
-					var class uint8
-					for _, px := range vox[sp.VoxStart : sp.VoxStart+sp.End-sp.Start] {
-						if a := classify.Opacity(px); a > class {
-							class = a
-						}
-					}
-					if b.Class[n] != class {
-						t.Fatalf("scanline %d span %d: SoA class %d, scalar max opacity %d",
-							s, n, b.Class[n], class)
+					want := line[sp.VoxStart : sp.VoxStart+sp.End-sp.Start]
+					if got := v.Vox[vox[n] : vox[n]+cnt[n]]; !slices.Equal(got, want) {
+						t.Fatalf("scanline %d span %d: window voxels %v, scanline's %v", s, n, got, want)
 					}
 				}
 			}

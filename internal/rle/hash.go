@@ -111,7 +111,6 @@ func (v *Volume) Fingerprint() uint64 {
 // cache's byte budget is accounted in.
 func (v *Volume) MemoryBytes() int64 {
 	return int64(len(v.Vox))*4 + int64(len(v.RunLens))*2 +
-		int64(len(v.RunOff))*4 + int64(len(v.VoxOff))*4 +
-		int64(len(v.SpanOff))*4 + int64(len(v.SpanClass)) +
+		int64(len(v.RunOff)+len(v.VoxOff)+len(v.SpanOff))*4 +
 		int64(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4
 }

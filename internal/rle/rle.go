@@ -42,17 +42,14 @@ type Volume struct {
 	// non-transparent run, in scanline order, built while the voxels stream
 	// through the encoder anyway. Scanline s owns index range
 	// [SpanOff[s], SpanOff[s+1]). SpanLo is the span's first voxel index
-	// within its scanline, SpanCnt its voxel count, SpanVox the absolute
-	// offset of its first voxel in Vox, and SpanClass the maximum opacity
-	// byte over its voxels (class 0 means every sample contributes exact
-	// zero opacity, so kernels may treat the span as a gap). The compositor
-	// windows these arrays directly, so expanding a scanline's runs into
-	// spans costs nothing per frame.
-	SpanOff   []int32
-	SpanLo    []int32
-	SpanCnt   []int32
-	SpanVox   []int32
-	SpanClass []uint8
+	// within its scanline, SpanCnt its voxel count, and SpanVox the
+	// absolute offset of its first voxel in Vox. The compositor windows
+	// these arrays directly, so expanding a scanline's runs into spans
+	// costs nothing per frame.
+	SpanOff []int32
+	SpanLo  []int32
+	SpanCnt []int32
+	SpanVox []int32
 
 	// MaxLineRuns is the largest run-header count of any scanline, set by
 	// the encoders. Compositing contexts size their span scratch from it so
@@ -126,7 +123,6 @@ func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume 
 	v.SpanLo = make([]int32, spans)
 	v.SpanCnt = make([]int32, spans)
 	v.SpanVox = make([]int32, spans)
-	v.SpanClass = make([]uint8, spans)
 	pass(v.writeLine)
 	return v
 }
@@ -225,12 +221,9 @@ func (v *Volume) writeLine(s int, line []classify.Voxel) {
 		for t < len(line) && line[t] < thr {
 			t++
 		}
-		// Non-transparent run (may be empty only at end of line); its
-		// largest voxel carries its largest opacity byte.
+		// Non-transparent run (may be empty only at end of line).
 		o := t
-		var top classify.Voxel
 		for o < len(line) && line[o] >= thr {
-			top = max(top, line[o])
 			o++
 		}
 		runs[r], runs[r+1] = uint16(t-i), uint16(o-t)
@@ -239,7 +232,6 @@ func (v *Volume) writeLine(s int, line []classify.Voxel) {
 			v.SpanLo[span] = int32(t)
 			v.SpanCnt[span] = int32(o - t)
 			v.SpanVox[span] = vox
-			v.SpanClass[span] = classify.Opacity(top)
 			span++
 			vox += int32(o - t)
 		}
@@ -325,60 +317,6 @@ func (v *Volume) AppendSpans(k, j int, dst []Span) []Span {
 	return dst
 }
 
-// SpanBuf holds one or more scanlines' worth of non-transparent spans in
-// structure-of-arrays form: four flat, index-aligned arrays instead of a
-// slice of structs. Compositing contexts own one per contributing line and
-// reuse it across scanlines, so the decode stage is append-only into
-// buffers that reach steady-state capacity after the first frame.
-type SpanBuf struct {
-	Lo    []int32 // first voxel index of each span within its scanline
-	Cnt   []int32 // sample (voxel) count of each span
-	Vox   []int32 // offset of each span's first voxel in the line's packed stream
-	Class []uint8 // maximum opacity byte over the span's voxels
-}
-
-// Reset empties the buffer, keeping its capacity.
-func (b *SpanBuf) Reset() {
-	b.Lo = b.Lo[:0]
-	b.Cnt = b.Cnt[:0]
-	b.Vox = b.Vox[:0]
-	b.Class = b.Class[:0]
-}
-
-// Len returns the number of buffered spans.
-func (b *SpanBuf) Len() int { return len(b.Lo) }
-
-// Grow ensures capacity for at least n spans without changing Len, so a
-// compositing context bound to an encoding never grows an append in the
-// steady state.
-func (b *SpanBuf) Grow(n int) {
-	if cap(b.Lo) >= n {
-		return
-	}
-	b.Lo = make([]int32, 0, n)
-	b.Cnt = make([]int32, 0, n)
-	b.Vox = make([]int32, 0, n)
-	b.Class = make([]uint8, 0, n)
-}
-
-// AppendSpansSoA appends the non-transparent spans of scanline (k, j) to b
-// in structure-of-arrays form, windowing the encode-time span index — no
-// run header or packed voxel is touched, and Vox offsets are rebased to the
-// scanline (matching Span.VoxStart). It visits exactly the (offset, count)
-// sequence AppendSpans produces by walking the run headers (fuzz-verified
-// by FuzzSpanDecodeSoAEquivalence).
-func (v *Volume) AppendSpansSoA(k, j int, b *SpanBuf) {
-	s := k*v.Nj + j
-	lo, hi := v.SpanOff[s], v.SpanOff[s+1]
-	base := v.VoxOff[s]
-	b.Lo = append(b.Lo, v.SpanLo[lo:hi]...)
-	b.Cnt = append(b.Cnt, v.SpanCnt[lo:hi]...)
-	b.Class = append(b.Class, v.SpanClass[lo:hi]...)
-	for _, vx := range v.SpanVox[lo:hi] {
-		b.Vox = append(b.Vox, vx-base)
-	}
-}
-
 // Stats summarizes the encoding.
 type Stats struct {
 	Voxels          int     // total voxels in the volume
@@ -392,14 +330,11 @@ type Stats struct {
 func (v *Volume) ComputeStats() Stats {
 	total := v.Ni * v.Nj * v.Nk
 	dense := total * 4
-	enc := len(v.Vox)*4 + len(v.RunLens)*2 + len(v.RunOff)*4 + len(v.VoxOff)*4 +
-		len(v.SpanOff)*4 + len(v.SpanClass) +
-		(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4
 	return Stats{
 		Voxels:          total,
 		NonTransparent:  len(v.Vox),
 		Runs:            len(v.RunLens),
-		CompressionPct:  100 * float64(enc) / float64(dense),
+		CompressionPct:  100 * float64(v.MemoryBytes()) / float64(dense),
 		TransparentFrac: 1 - float64(len(v.Vox))/float64(total),
 	}
 }

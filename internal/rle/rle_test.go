@@ -212,7 +212,7 @@ func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
 	ni, nj, nk := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
 	v := &Volume{Axis: axis, Ni: ni, Nj: nj, Nk: nk, MinOpacity: c.MinOpacity,
 		RunLens: []uint16{}, Vox: []classify.Voxel{},
-		SpanLo: []int32{}, SpanCnt: []int32{}, SpanVox: []int32{}, SpanClass: []uint8{}}
+		SpanLo: []int32{}, SpanCnt: []int32{}, SpanVox: []int32{}}
 	for k := 0; k < nk; k++ {
 		for j := 0; j < nj; j++ {
 			v.RunOff = append(v.RunOff, int32(len(v.RunLens)))
@@ -224,12 +224,9 @@ func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
 					t++
 				}
 				o := t
-				var class uint8
 				vox := int32(len(v.Vox))
 				for o < ni && !c.Transparent(c.At(xform.ObjectIndex(axis, o, j, k))) {
-					vx := c.At(xform.ObjectIndex(axis, o, j, k))
-					class = max(class, classify.Opacity(vx))
-					v.Vox = append(v.Vox, vx)
+					v.Vox = append(v.Vox, c.At(xform.ObjectIndex(axis, o, j, k)))
 					o++
 				}
 				v.RunLens = append(v.RunLens, uint16(t-i), uint16(o-t))
@@ -237,7 +234,6 @@ func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
 					v.SpanLo = append(v.SpanLo, int32(t))
 					v.SpanCnt = append(v.SpanCnt, int32(o-t))
 					v.SpanVox = append(v.SpanVox, vox)
-					v.SpanClass = append(v.SpanClass, class)
 				}
 				i = o
 			}

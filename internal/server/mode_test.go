@@ -118,7 +118,7 @@ func TestRenderModeParamErrors(t *testing.T) {
 // mode-qualified tenant name, so per-volume cache accounting separates
 // "mri" (composite) from "mri@mip" and "mri@iso" traffic.
 func TestCacheTenantModeAttribution(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, CollectStats: true})
+	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

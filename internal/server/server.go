@@ -25,9 +25,9 @@
 //   - graceful shutdown: Close stops admitting, waits for in-flight
 //     frames, and releases the pools' persistent worker goroutines;
 //   - observability: per-endpoint request/error/latency counters, cache
-//     hit/miss/eviction/build counters, and the internal/perf cumulative
-//     phase breakdown of every rendered frame, all served by /metrics
-//     and optionally published through expvar.
+//     hit/miss/eviction/build counters, and the cumulative phase
+//     breakdown of every rendered frame (derived from the frame's spans),
+//     all served by /metrics and optionally published through expvar.
 //
 // Output contract: a frame rendered through the service is byte-identical
 // to one rendered by calling the library directly with the same volume,
@@ -84,7 +84,6 @@ type Config struct {
 	QueueTimeout      time.Duration // longest admission wait (default 5s)
 	RenderTimeout     time.Duration // request deadline to start rendering (default 30s)
 	CacheBytes        int64         // volcache budget (default 256 MiB; <0 = unbounded)
-	CollectStats      bool          // per-frame perf breakdowns feeding /metrics' phases (off in the zero value; shearwarpd's -stats turns it on)
 	OpacityCorrection bool          // forwarded to every renderer
 	// WatchdogTimeout, when positive, bounds how long a frame may render
 	// after it has started: a frame still running at the deadline is
@@ -102,8 +101,9 @@ type Config struct {
 	Logger *slog.Logger
 	// TraceRing sizes the per-request span tracer's recent-trace ring
 	// (/debug/spans): 0 keeps the default of 64 retained traces (plus
-	// head and slowest samples), negative disables span tracing entirely
-	// — renders then take the span-free path with no extra clock reads.
+	// head and slowest samples), negative retains none and turns
+	// /debug/spans off. Every render records its spans either way: they
+	// are what /metrics' phases are derived from.
 	TraceRing int
 	// SLO lists the service-level objectives the embedded SLO engine
 	// evaluates (internal/slo). Nil runs slo.DefaultSpec; objectives
@@ -492,7 +492,6 @@ func (s *Server) renderPool(ctx context.Context, rec *volumeRec, transfer shearw
 				Algorithm:         alg,
 				Procs:             s.cfg.Procs,
 				OpacityCorrection: s.cfg.OpacityCorrection,
-				CollectStats:      s.cfg.CollectStats && alg != shearwarp.RayCast,
 				Faults:            s.cfg.Faults,
 			})
 		})
@@ -715,9 +714,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		rt.finish(code, time.Now())
 		return
 	}
-	if rt != nil {
-		ren.SetSpanRecorder(rt.spans)
-	}
+	ren.SetSpanRecorder(rt.spans)
 
 	// Render asynchronously so the handler can react to cancellation and
 	// the watchdog while the frame runs. The goroutine — not the handler —
@@ -746,9 +743,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		im, res.info, res.err = ren.RenderCtx(rctx, yaw, pitch)
 		// Detach the span recorder before the renderer can serve another
 		// request; RenderCtx has returned, so no worker records past here.
-		if rt != nil {
-			ren.SetSpanRecorder(nil)
-		}
+		ren.SetSpanRecorder(nil)
 		var fe *render.FrameError
 		if errors.As(res.err, &fe) {
 			s.panics.Add(1)

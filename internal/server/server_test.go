@@ -84,7 +84,6 @@ func TestConcurrentRequestsByteIdentical(t *testing.T) {
 		MaxQueue:      clients * perEach,
 		QueueTimeout:  30 * time.Second,
 		RenderTimeout: 30 * time.Second,
-		CollectStats:  true,
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -131,7 +130,7 @@ func TestConcurrentRequestsByteIdentical(t *testing.T) {
 	if snap.Frames != clients*perEach {
 		t.Errorf("frames counter = %d, want %d", snap.Frames, clients*perEach)
 	}
-	if s.cfg.CollectStats && snap.Phases.Frames != clients*perEach {
+	if snap.Phases.Frames != clients*perEach {
 		t.Errorf("perf cumulative frames = %d, want %d", snap.Phases.Frames, clients*perEach)
 	}
 }

@@ -19,15 +19,16 @@ import (
 )
 
 // serverTelemetry is the request-level observability state of the
-// service: latency histograms, the per-request span tracer, and the
-// structured logger. It is always constructed (the histograms are a few
-// KiB of atomics and recording is a handful of atomic adds per
-// request); only the per-request span tracing can be disabled, through
-// Config.TraceRing < 0, because it is the one part whose recording
-// reaches into the render workers' frame loop.
+// service: latency histograms, the per-request span recorders and the
+// tracer that retains their traces, and the structured logger. It is
+// always constructed (the histograms are a few KiB of atomics and
+// recording is a handful of atomic adds per request), and every request
+// records its spans, since the frame's phase breakdown is derived from
+// them; only retaining traces can be turned off, through
+// Config.TraceRing < 0.
 type serverTelemetry struct {
 	logger *slog.Logger
-	tracer *telemetry.Tracer // nil when span tracing is disabled
+	tracer *telemetry.Tracer // nil when traces are not retained
 	epoch  time.Time         // span/trace timestamps are measured from here
 	reqSeq atomic.Uint64     // request-ID source (also the trace ID)
 
@@ -39,9 +40,9 @@ type serverTelemetry struct {
 	// into one histogram would hide both.
 	hPhase [rendermode.Count][perf.NumPhases]*telemetry.Histogram
 
-	// spanPool recycles FrameSpans recorders across requests so tracing
-	// a request allocates only its retained Trace, not the 512-span
-	// recording buffer.
+	// spanPool recycles FrameSpans recorders across requests so a request
+	// allocates at most its retained Trace, not the 512-span recording
+	// buffer.
 	spanPool sync.Pool
 }
 
@@ -135,13 +136,9 @@ type reqTrace struct {
 	tr      *telemetry.Trace      // built by the goroutine, published by the 0->2 CAS
 }
 
-// startTrace begins tracing one /render request; returns nil when span
-// tracing is disabled. The recorder comes from the pool and goes back
-// when the trace is built.
+// startTrace begins tracing one /render request. The recorder comes from
+// the pool and goes back when the trace is built.
 func (t *serverTelemetry) startTrace(id uint64, attempt int, label string, start time.Time) *reqTrace {
-	if t.tracer == nil {
-		return nil
-	}
 	fs := t.spanPool.Get().(*telemetry.FrameSpans)
 	fs.Reset(t.epoch)
 	return &reqTrace{
@@ -154,94 +151,80 @@ func (t *serverTelemetry) startTrace(id uint64, attempt int, label string, start
 	}
 }
 
-// record adds one request-lane span. Nil-safe.
+// record adds one request-lane span.
 func (rt *reqTrace) record(name string, start time.Time, d time.Duration) {
-	if rt == nil {
-		return
-	}
 	rt.spans.Record(-1, name, telemetry.CatRequest, start, d)
 }
 
-// build converts the recorder's contents into a Trace and returns the
-// recorder to the pool. Call once, after every recording worker is done.
-func (rt *reqTrace) build(durNS int64) *telemetry.Trace {
-	spans := rt.spans.Spans()
-	tr := &telemetry.Trace{
-		ID:      rt.id,
-		Attempt: rt.attempt,
-		Label:   rt.label,
-		StartNS: rt.startNS,
-		DurNS:   durNS,
-		Dropped: rt.spans.Dropped(),
-		Spans:   append(rt.tel.tracer.SpanBuf(len(spans)), spans...),
+// build converts the recorder's contents into a Trace — nil when traces
+// are not retained — and returns the recorder to the pool. Call once,
+// after every recording worker is done; add fills in status and duration.
+func (rt *reqTrace) build() *telemetry.Trace {
+	var tr *telemetry.Trace
+	if rt.tel.tracer != nil {
+		spans := rt.spans.Spans()
+		tr = &telemetry.Trace{
+			ID:      rt.id,
+			Attempt: rt.attempt,
+			Label:   rt.label,
+			StartNS: rt.startNS,
+			Dropped: rt.spans.Dropped(),
+			Spans:   append(rt.tel.tracer.SpanBuf(len(spans)), spans...),
+		}
 	}
 	rt.tel.spanPool.Put(rt.spans)
 	rt.spans = nil
 	return tr
 }
 
-// finish finalizes a trace the handler owned start to finish (rejection
-// paths that never spawned a render goroutine). Nil-safe.
-func (rt *reqTrace) finish(status int, now time.Time) {
-	if rt == nil {
+// add hands tr, with its final status and its duration up to now, to the
+// tracer. A nil tr (traces not retained) is dropped.
+func (rt *reqTrace) add(tr *telemetry.Trace, status int, now time.Time) {
+	if tr == nil {
 		return
 	}
-	tr := rt.build(rt.tel.sinceEpochNS(now) - rt.startNS)
 	tr.Status = status
+	tr.DurNS = rt.tel.sinceEpochNS(now) - rt.startNS
 	rt.tel.tracer.Add(tr)
+}
+
+// finish finalizes a trace the handler owned start to finish (rejection
+// paths that never spawned a render goroutine).
+func (rt *reqTrace) finish(status int, now time.Time) {
+	rt.add(rt.build(), status, now)
 }
 
 // handlerExits is called when the handler abandons the request while the
 // render goroutine still runs (watchdog, deadline, disconnect): it
 // leaves finalization to the goroutine, unless the goroutine got there
-// first, in which case the handler finalizes. Nil-safe.
+// first, in which case the handler finalizes.
 func (rt *reqTrace) handlerExits(status int, now time.Time) {
-	if rt == nil {
-		return
-	}
 	rt.status.Store(int32(status))
 	if rt.owner.CompareAndSwap(0, 1) {
 		return // the render goroutine finalizes when the frame drains
 	}
 	// The goroutine finished in the same instant (owner == 2): its trace
 	// is published; finalize it here.
-	tr := rt.tr
-	tr.Status = status
-	tr.DurNS = rt.tel.sinceEpochNS(now) - rt.startNS
-	rt.tel.tracer.Add(tr)
+	rt.add(rt.tr, status, now)
 }
 
 // goroutineDone is called by the render goroutine after the frame
 // drained (and, on success, was encoded). If the handler already left,
 // the goroutine finalizes with the handler's status; otherwise the trace
 // is published for the handler to finish after writing the response.
-// Nil-safe.
 func (rt *reqTrace) goroutineDone(now time.Time) {
-	if rt == nil {
-		return
-	}
-	rt.tr = rt.build(rt.tel.sinceEpochNS(now) - rt.startNS)
+	rt.tr = rt.build()
 	if rt.owner.CompareAndSwap(0, 2) {
 		return // handler still active; it finalizes after the response
 	}
-	rt.tr.Status = int(rt.status.Load())
-	rt.tel.tracer.Add(rt.tr)
+	rt.add(rt.tr, int(rt.status.Load()), now)
 }
 
 // handlerFinishes finalizes on the handler's normal path: the render
 // goroutine has published the trace (owner == 2, its encode span
-// included) and the response has been written. Nil-safe.
+// included) and the response has been written.
 func (rt *reqTrace) handlerFinishes(status int, now time.Time) {
-	if rt == nil {
-		return
-	}
-	tr := rt.tr
-	if tr == nil {
-		return // defensive: goroutine result consumed without a publish
-	}
-	tr.Status = status
-	tr.DurNS = rt.tel.sinceEpochNS(now) - rt.startNS
-	rt.tel.tracer.Add(tr)
+	rt.add(rt.tr, status, now)
 }
 
 // handlePromMetrics writes the Prometheus text exposition of every

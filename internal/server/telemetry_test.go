@@ -40,7 +40,7 @@ func getWithAccept(t *testing.T, client *http.Client, url, accept string) (*http
 // default — with the exact document shape pre-telemetry consumers parse —
 // and serves the Prometheus text exposition under Accept: text/plain.
 func TestMetricsContentNegotiation(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, CollectStats: true})
+	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -120,7 +120,7 @@ func keys(m map[string]json.RawMessage) []string {
 // exports loadable Chrome trace-event JSON carrying the per-worker
 // composite and warp spans, plus the timeline and single-trace views.
 func TestDebugSpans(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, CollectStats: true})
+	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -232,9 +232,34 @@ func TestDebugSpansDisabled(t *testing.T) {
 	}
 }
 
+// TestPhasesReportedByDefault: every served frame of a shear-warp
+// algorithm lands in /metrics' phases — on the zero-value Config the
+// benchmark runs, and with traces not retained at all.
+func TestPhasesReportedByDefault(t *testing.T) {
+	for _, cfg := range []Config{{}, {TraceRing: -1}} {
+		s := newTestServer(t, cfg)
+		ts := httptest.NewServer(s.Handler())
+		algs := []string{"new", "old", "serial", "raycast"}
+		for _, alg := range algs {
+			if code, body := get(t, ts.Client(), ts.URL+"/render?volume=mri&yaw=30&pitch=15&alg="+alg); code != http.StatusOK {
+				t.Fatalf("TraceRing %d alg %s: status %d: %s", cfg.TraceRing, alg, code, body)
+			}
+		}
+		ph := s.metricsSnapshot().Phases
+		if want := int64(len(algs) - 1); ph.Frames != want { // raycast has no phases
+			t.Errorf("TraceRing %d: phases count %d frames, want %d", cfg.TraceRing, ph.Frames, want)
+		}
+		if ph.PhaseNS["composite-own"] <= 0 || ph.PhaseNS["warp"] <= 0 || ph.Counts["scanlines"] <= 0 || ph.WallNS <= 0 {
+			t.Errorf("TraceRing %d: empty phases %+v", cfg.TraceRing, ph)
+		}
+		ts.Close()
+		s.Close()
+	}
+}
+
 // TestDebugLatency checks the quantile digest document.
 func TestDebugLatency(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, CollectStats: true})
+	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -90,3 +90,60 @@ func TestBreakdownThroughTelemetry(t *testing.T) {
 		t.Fatalf("max %.3fms outside [3, 3.2]", sum.MaxMS)
 	}
 }
+
+// TestBreakdownFromSpans pins the one derivation every breakdown view
+// reads: busy per phase from busy spans by name, wait from sync spans,
+// wall from the worker spans' envelope (request-lane spans excluded),
+// imbalance as the clamped remainder; rows reused in place; and no
+// breakdown at all from a recorder that dropped spans.
+func TestBreakdownFromSpans(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	spans := []Span{
+		{Name: "admission", Cat: CatRequest, Worker: -1, StartNS: 0, DurNS: 5 * ms},
+		{Name: "clear", Cat: CatBusy, Worker: 0, StartNS: 10 * ms, DurNS: 1 * ms},
+		{Name: "composite-own", Cat: CatBusy, Worker: 0, StartNS: 11 * ms, DurNS: 2 * ms},
+		{Name: "composite-steal", Cat: CatBusy, Worker: 0, StartNS: 13 * ms, DurNS: 1 * ms},
+		{Name: "band-wait", Cat: CatSync, Worker: 0, StartNS: 14 * ms, DurNS: 1 * ms},
+		{Name: "warp", Cat: CatBusy, Worker: 0, StartNS: 15 * ms, DurNS: 2 * ms},
+		{Name: "composite-own", Cat: CatBusy, Worker: 1, StartNS: 10 * ms, DurNS: 8 * ms},
+		{Name: "warp", Cat: CatBusy, Worker: 1, StartNS: 18 * ms, DurNS: 2 * ms},
+		{Name: "barrier-wait", Cat: CatSync, Worker: 1, StartNS: 18 * ms, DurNS: 2 * ms},
+	}
+	var fb perf.FrameBreakdown
+	if !Breakdown(&fb, 3, spans, 0) {
+		t.Fatal("no breakdown from a complete recording")
+	}
+	if fb.Workers != 3 || len(fb.PerWorker) != 3 || fb.WallNS != 10*ms {
+		t.Fatalf("header: %d workers, %d rows, wall %d; want 3, 3, 10ms", fb.Workers, len(fb.PerWorker), fb.WallNS)
+	}
+	w0, w1, w2 := fb.PerWorker[0], fb.PerWorker[1], fb.PerWorker[2]
+	if w0.ClearNS != ms || w0.CompositeOwnNS != 2*ms || w0.CompositeStealNS != ms || w0.WarpNS != 2*ms ||
+		w0.WaitNS != ms || w0.TotalNS != 7*ms || w0.ImbalanceNS != 3*ms {
+		t.Fatalf("worker 0: %+v", w0)
+	}
+	// Busy 10ms plus wait 2ms overruns the 10ms wall: imbalance clamps at 0.
+	if w1.BusyNS() != 10*ms || w1.WaitNS != 2*ms || w1.ImbalanceNS != 0 {
+		t.Fatalf("worker 1: %+v", w1)
+	}
+	// A worker that recorded nothing idled the whole frame.
+	if w2.Worker != 2 || w2.BusyNS() != 0 || w2.ImbalanceNS != 10*ms {
+		t.Fatalf("worker 2: %+v", w2)
+	}
+
+	// The next frame reuses the rows, zeroed, and allocates nothing.
+	rows := &fb.PerWorker[0]
+	one := spans[6:7]
+	if allocs := testing.AllocsPerRun(10, func() { Breakdown(&fb, 0, one, 0) }); allocs != 0 {
+		t.Fatalf("Breakdown into reused rows allocates %.0f times", allocs)
+	}
+	if &fb.PerWorker[0] != rows || fb.Workers != 2 || fb.PerWorker[0].ClearNS != 0 || fb.PerWorker[1].BusyNS() != 8*ms {
+		t.Fatalf("reused breakdown: %+v", fb)
+	}
+
+	if Breakdown(&fb, 3, spans, 1) || fb.Workers != 0 || len(fb.PerWorker) != 0 {
+		t.Fatalf("a recorder with dropped spans yielded a breakdown: %+v", fb)
+	}
+	if !strings.Contains(Timeline(&Trace{Spans: spans, Dropped: 2}), "2 spans dropped") {
+		t.Fatal("the timeline of a trace with dropped spans does not say so")
+	}
+}

@@ -4,19 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"shearwarp/internal/perf"
 )
 
-// Span categories, mapped onto the paper's Figure 5/6 vocabulary by the
-// timeline view: busy spans are computation, sync spans are explicit
-// synchronization, and whatever remains of a worker's frame wall clock
-// is load imbalance. Request-category spans live on the request lane
-// (worker -1) and are excluded from the per-worker accounting.
+// Span categories, mapped onto the paper's Figure 5/6 vocabulary by
+// Breakdown: busy spans are computation, sync spans are explicit
+// synchronization, and whatever remains of the frame's wall clock is load
+// imbalance. Request-category spans live on the request lane (worker -1)
+// and are excluded from the per-worker accounting.
 const (
 	CatBusy    = "busy"
 	CatSync    = "sync"
@@ -35,10 +38,10 @@ type Span struct {
 }
 
 // maxFrameSpans bounds one request's span count. A frame records a
-// handful of spans per worker plus the request-level phases; chunked
-// compositing in the old algorithm can emit one span per chunk, so the
-// cap is generous. Overflow drops spans and counts the drop instead of
-// growing.
+// constant number of spans per worker — at most ten, whatever its size —
+// plus the request-level phases, so 512 holds dozens of workers. Overflow
+// drops spans and counts the drop instead of growing; Breakdown refuses
+// a frame with drops.
 const maxFrameSpans = 512
 
 // FrameSpans is the per-request span recorder the render workers write
@@ -516,70 +519,99 @@ func mergeArgs(a, b map[string]any) map[string]any {
 	return out
 }
 
-// Timeline renders one trace as the paper's Figure 5/6 per-worker
-// execution-time bars: for each worker, busy time (computation), sync
-// time (tracked waits) and the remaining wall clock as load imbalance,
-// with a proportional bar (B = busy, S = sync, . = imbalance). The wall
-// clock is the envelope of the trace's worker spans.
-func Timeline(tr *Trace) string {
-	const barWidth = 40
-	type acc struct{ busy, sync int64 }
-	workers := map[int]*acc{}
-	var lo, hi int64 = -1, 0
-	for _, sp := range tr.Spans {
+// Breakdown derives one frame's Figure 5/6 accounting from its spans into
+// fb: the one computation behind the renderers' LastBreakdown, Timeline and
+// the server's phase metrics. Request-lane spans (worker < 0) are skipped.
+// Per worker, busy time by phase is the sum of its busy spans by phase name,
+// WaitNS the sum of its sync spans and TotalNS the sum of all its spans; the
+// frame's WallNS is the envelope of the worker spans, and a worker's
+// imbalance is what of that wall its spans do not account for, wall −
+// TotalNS clamped at zero (for a renderer's spans, wall − busy − wait). Rows
+// cover workers or the highest worker recorded, whichever is more, and
+// reuse fb.PerWorker; the work counters are left zero for the caller to
+// fill from the renderers' own per-worker statistics. Spans a recorder
+// dropped cannot be accounted for, so with dropped > 0 Breakdown leaves fb
+// without workers and reports false.
+func Breakdown(fb *perf.FrameBreakdown, workers int, spans []Span, dropped int64) bool {
+	fb.Workers, fb.WallNS, fb.PerWorker = 0, 0, fb.PerWorker[:0]
+	if dropped > 0 {
+		return false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, sp := range spans {
+		if sp.Worker >= 0 {
+			workers = max(workers, sp.Worker+1)
+			lo, hi = min(lo, sp.StartNS), max(hi, sp.StartNS+sp.DurNS)
+		}
+	}
+	fb.Workers = workers
+	fb.PerWorker = slices.Grow(fb.PerWorker, workers)[:workers]
+	clear(fb.PerWorker)
+	if hi > lo {
+		fb.WallNS = hi - lo
+	}
+	for _, sp := range spans {
 		if sp.Worker < 0 {
 			continue
 		}
-		a := workers[sp.Worker]
-		if a == nil {
-			a = &acc{}
-			workers[sp.Worker] = a
+		w := &fb.PerWorker[sp.Worker]
+		w.TotalNS += sp.DurNS
+		if sp.Cat == CatSync {
+			w.WaitNS += sp.DurNS
+			continue
 		}
-		switch sp.Cat {
-		case CatSync:
-			a.sync += sp.DurNS
-		default:
-			a.busy += sp.DurNS
-		}
-		if lo < 0 || sp.StartNS < lo {
-			lo = sp.StartNS
-		}
-		if end := sp.StartNS + sp.DurNS; end > hi {
-			hi = end
+		switch sp.Name { // the perf.Phase names of the busy phases
+		case "clear":
+			w.ClearNS += sp.DurNS
+		case "composite-own":
+			w.CompositeOwnNS += sp.DurNS
+		case "composite-steal":
+			w.CompositeStealNS += sp.DurNS
+		case "warp":
+			w.WarpNS += sp.DurNS
 		}
 	}
+	for i := range fb.PerWorker {
+		w := &fb.PerWorker[i]
+		w.Worker = i
+		w.ImbalanceNS = max(fb.WallNS-w.TotalNS, 0)
+	}
+	return true
+}
+
+// Timeline renders one trace as the paper's Figure 5/6 per-worker
+// execution-time bars — the rows of its Breakdown: for each worker, busy
+// time (computation), sync time (tracked waits) and the rest of the frame's
+// wall clock as load imbalance, with a proportional bar (B = busy, S =
+// sync, . = imbalance). Busy is every recorded span that is not a wait:
+// exactly the breakdown's BusyNS for a renderer's spans, and still
+// meaningful for lanes whose busy spans are not render phases (the
+// gateway's attempt lanes).
+func Timeline(tr *Trace) string {
+	const barWidth = 40
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %d: %s (status %d, %.3fms)\n", tr.ID, tr.Label, tr.Status, float64(tr.DurNS)/1e6)
-	if len(workers) == 0 {
+	var fb perf.FrameBreakdown
+	if !Breakdown(&fb, 0, tr.Spans, tr.Dropped) {
+		fmt.Fprintf(&b, "%d spans dropped: no breakdown\n", tr.Dropped)
+		return b.String()
+	}
+	if fb.Workers == 0 {
 		b.WriteString("no worker spans captured\n")
 		return b.String()
 	}
-	wall := hi - lo
-	if wall <= 0 {
-		wall = 1
-	}
+	wall := max(fb.WallNS, 1)
 	fmt.Fprintf(&b, "frame wall %.3fms over %d workers; bars: B busy, S sync, . imbalance\n",
-		float64(wall)/1e6, len(workers))
-	ids := make([]int, 0, len(workers))
-	for id := range workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+		float64(fb.WallNS)/1e6, fb.Workers)
 	fmt.Fprintf(&b, "%-6s  %10s  %10s  %10s  bar\n", "proc", "busy(ms)", "sync(ms)", "imbal(ms)")
-	for _, id := range ids {
-		a := workers[id]
-		imbal := wall - a.busy - a.sync
-		if imbal < 0 {
-			imbal = 0
-		}
-		nb := int(float64(a.busy) / float64(wall) * barWidth)
-		ns := int(float64(a.sync) / float64(wall) * barWidth)
-		if nb+ns > barWidth {
-			ns = barWidth - nb
-		}
+	for i := range fb.PerWorker {
+		w := &fb.PerWorker[i]
+		busy := w.TotalNS - w.WaitNS
+		nb := min(int(float64(busy)/float64(wall)*barWidth), barWidth)
+		ns := min(int(float64(w.WaitNS)/float64(wall)*barWidth), barWidth-nb)
 		bar := strings.Repeat("B", nb) + strings.Repeat("S", ns) + strings.Repeat(".", barWidth-nb-ns)
 		fmt.Fprintf(&b, "%-6d  %10.3f  %10.3f  %10.3f  |%s|\n",
-			id, float64(a.busy)/1e6, float64(a.sync)/1e6, float64(imbal)/1e6, bar)
+			w.Worker, float64(busy)/1e6, float64(w.WaitNS)/1e6, float64(w.ImbalanceNS)/1e6, bar)
 	}
 	return b.String()
 }
