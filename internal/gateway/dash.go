@@ -1,166 +1,63 @@
 package gateway
 
-import "net/http"
+import "shearwarp/internal/telemetry"
 
-// handleDash is GET /debug/dash: a single self-contained HTML fleet
-// dashboard. Like the backends' dash, everything is inlined and every
-// data fetch is a relative path to this gateway's own /metrics, so the
-// page needs no network access beyond the gateway itself. The backend
-// panel is the point: per-backend health, breaker state, in-flight
-// load, and the retry/hedge traffic each one is absorbing.
-func (g *Gateway) handleDash(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Write([]byte(dashHTML))
-}
-
-const dashHTML = `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>shearwarpgw fleet</title>
-<style>
-  body { font: 13px/1.5 ui-monospace, monospace; margin: 0; background: #10141a; color: #cdd6e4; }
-  header { padding: 10px 16px; background: #161c26; display: flex; gap: 24px; align-items: baseline; flex-wrap: wrap; }
-  header h1 { font-size: 15px; margin: 0; color: #7fd1b9; }
-  header span { color: #8b98ab; }
-  header b { color: #cdd6e4; font-weight: 600; }
-  main { padding: 12px 16px; display: grid; gap: 16px; max-width: 1100px; }
-  section h2 { font-size: 12px; text-transform: uppercase; letter-spacing: .08em; color: #8b98ab; margin: 0 0 6px; }
-  table { border-collapse: collapse; width: 100%; }
-  th, td { text-align: right; padding: 2px 10px; border-bottom: 1px solid #222b38; white-space: nowrap; }
-  th:first-child, td:first-child { text-align: left; }
-  td:first-child { color: #7fb3d1; }
-  th { color: #8b98ab; font-weight: 500; }
-  .ok { color: #7fd1b9; }
-  .bad { color: #d17f7f; }
-  .warn { color: #d1c97f; }
-  #err { color: #d17f7f; }
-</style>
-</head>
-<body>
-<header>
-  <h1>shearwarpgw</h1>
-  <span>uptime <b id="uptime">&ndash;</b></span>
+// dashHandler serves GET /debug/dash: the shared self-contained dashboard
+// shell (telemetry.Dashboard) around the fleet panels, refreshed from the
+// gateway's own /metrics. The backend panel is the point: per-backend
+// health, breaker state, in-flight load, and the retry/hedge traffic each
+// one is absorbing.
+var dashHandler = telemetry.Dashboard("shearwarpgw", `  <span>uptime <b id="uptime">&ndash;</b></span>
   <span>requests <b id="requests">&ndash;</b></span>
   <span>success <b id="successes">&ndash;</b></span>
   <span>retries <b id="retries">&ndash;</b></span>
   <span>hedges <b id="hedges">&ndash;</b> (wins <b id="hedgewins">&ndash;</b>)</span>
   <span>hedge delay <b id="hedgedelay">&ndash;</b></span>
-  <span id="err"></span>
-</header>
-<main>
-<section>
-  <h2>Backends</h2>
-  <table id="backends">
-    <thead><tr>
-      <th>backend</th><th>health</th><th>breaker</th><th>opens</th><th>in-flight</th>
-      <th>requests</th><th>failures</th><th>retries</th><th>hedges</th><th>hedge wins</th>
-    </tr></thead>
-    <tbody></tbody>
-  </table>
-</section>
-<section>
-  <h2>Latency (proxied renders)</h2>
-  <table id="latency">
-    <thead><tr><th>series</th><th>count</th><th>mean</th><th>p50</th><th>p90</th><th>p99</th><th>max</th></tr></thead>
-    <tbody></tbody>
-  </table>
-</section>
-<section>
-  <h2>Fleet (merged backend metrics) <span id="fleetage" style="text-transform:none;letter-spacing:0"></span></h2>
-  <table id="fleet">
-    <thead><tr>
-      <th>backend</th><th>frames</th><th>renders</th><th>p50</th><th>p99</th><th>p99 skew</th><th>cache hit</th>
-    </tr></thead>
-    <tbody></tbody>
-  </table>
-</section>
-<section>
-  <h2>Recent traces</h2>
-  <table id="traces">
-    <thead><tr><th>trace</th><th>status</th><th>duration</th><th>attempts</th><th>label</th></tr></thead>
-    <tbody></tbody>
-  </table>
-</section>
-</main>
-<script>
-function fmtDur(s) {
-  if (s >= 3600) return (s/3600).toFixed(1) + "h";
-  if (s >= 60) return (s/60).toFixed(1) + "m";
-  return s.toFixed(0) + "s";
+`, `  <section><h2>Backends</h2><table id="backends"></table></section>
+  <section><h2>Latency (proxied renders)</h2><table id="latency"></table></section>
+  <section><h2>Fleet (merged backend metrics) <span id="fleetage"></span></h2><table id="fleet"></table></section>
+  <section><h2>Recent traces</h2><table id="traces"></table></section>
+`, `function ms(v) { return v >= 1000 ? (v / 1000).toFixed(2) + "s" : v.toFixed(1) + "ms"; }
+function pct(f) { return ((f || 0) * 100).toFixed(1) + "%"; }
+function lat(name, q) {
+  return [name, q.count, ms(q.mean_ms), ms(q.p50_ms), ms(q.p90_ms), ms(q.p99_ms), ms(q.max_ms)];
 }
-function ms(v) { return v >= 1000 ? (v/1000).toFixed(2) + "s" : v.toFixed(1) + "ms"; }
-function latRow(name, q) {
-  return "<tr><td>" + name + "</td><td>" + q.count + "</td><td>" + ms(q.mean_ms) +
-    "</td><td>" + ms(q.p50_ms) + "</td><td>" + ms(q.p90_ms) + "</td><td>" +
-    ms(q.p99_ms) + "</td><td>" + ms(q.max_ms) + "</td></tr>";
-}
-async function tick() {
-  try {
-    const m = await (await fetch("/metrics")).json();
-    document.getElementById("uptime").textContent = fmtDur(m.uptime_seconds);
-    document.getElementById("requests").textContent = m.requests;
-    document.getElementById("successes").textContent = m.successes;
-    document.getElementById("retries").textContent = m.retries;
-    document.getElementById("hedges").textContent = m.hedges;
-    document.getElementById("hedgewins").textContent = m.hedge_wins;
-    document.getElementById("hedgedelay").textContent = ms(m.hedge_delay_ms);
-    let rows = "";
-    for (const b of m.backends || []) {
-      const h = b.healthy ? '<span class="ok">up</span>' : '<span class="bad">down</span>';
-      const brk = b.breaker === "closed" ? '<span class="ok">closed</span>'
-        : b.breaker === "open" ? '<span class="bad">open</span>'
-        : '<span class="warn">half-open</span>';
-      rows += "<tr><td>" + b.url + "</td><td>" + h + "</td><td>" + brk + "</td><td>" +
-        b.breaker_opens + "</td><td>" + b.in_flight + "</td><td>" + b.requests + "</td><td>" +
-        b.failures + "</td><td>" + b.retries + "</td><td>" + b.hedges + "</td><td>" +
-        b.hedge_wins + "</td></tr>";
-    }
-    document.querySelector("#backends tbody").innerHTML = rows;
-    document.querySelector("#latency tbody").innerHTML =
-      latRow("render (e2e)", m.render) + latRow("attempt", m.attempt);
-    const f = m.fleet || {};
-    let frows = "";
+function refresh() {
+  return getJSON("/metrics").then(function (m) {
+    setText("uptime", fmtDur(m.uptime_seconds));
+    setText("requests", m.requests);
+    setText("successes", m.successes);
+    setText("retries", m.retries);
+    setText("hedges", m.hedges);
+    setText("hedgewins", m.hedge_wins);
+    setText("hedgedelay", ms(m.hedge_delay_ms));
+    table("backends", ["backend", "health", "breaker", "opens", "in-flight", "requests", "failures", "retries", "hedges", "hedge wins"],
+      (m.backends || []).map(function (b) {
+        return [b.url, { v: b.healthy ? "up" : "down", cls: b.healthy ? "ok" : "bad" },
+          { v: b.breaker, cls: b.breaker === "closed" ? "ok" : b.breaker === "open" ? "bad" : "warn" },
+          b.breaker_opens, b.in_flight, b.requests, b.failures, b.retries, b.hedges, b.hedge_wins];
+      }));
+    table("latency", ["series", "count", "mean", "p50", "p90", "p99", "max"],
+      [lat("render (e2e)", m.render), lat("attempt", m.attempt)]);
+    var f = m.fleet || {}, rows = [];
     if (f.scraped_ago_seconds >= 0) {
-      document.getElementById("fleetage").textContent =
-        "(scraped " + f.scraped_ago_seconds.toFixed(1) + "s ago, " + f.scraped + "/" + f.backends + " up)";
-      const fq = f.render || {};
-      frows += "<tr><td><b>fleet</b></td><td>" + f.frames + "</td><td>" + (fq.count || 0) +
-        "</td><td>" + ms(fq.p50_ms || 0) + "</td><td>" + ms(fq.p99_ms || 0) +
-        "</td><td>&ndash;</td><td>" + ((f.cache_hit_rate || 0) * 100).toFixed(1) + "%</td></tr>";
-      for (const b of f.per_backend || []) {
-        if (b.err) {
-          frows += "<tr><td>" + b.url + '</td><td colspan="6" class="bad">' + b.err + "</td></tr>";
-          continue;
-        }
-        const skew = b.p99_skew_vs_fleet || 0;
-        const sk = skew > 1.5 ? '<span class="bad">' + skew.toFixed(2) + "x</span>"
-          : skew > 1.1 ? '<span class="warn">' + skew.toFixed(2) + "x</span>"
-          : skew.toFixed(2) + "x";
-        frows += "<tr><td>" + b.url + "</td><td>" + b.frames + "</td><td>" + b.render_count +
-          "</td><td>" + ms(b.render_p50_ms) + "</td><td>" + ms(b.render_p99_ms) +
-          "</td><td>" + sk + "</td><td>" + ((b.cache_hit_rate || 0) * 100).toFixed(1) + "%</td></tr>";
-      }
+      setText("fleetage", "(scraped " + f.scraped_ago_seconds.toFixed(1) + "s ago, " + f.scraped + "/" + f.backends + " up)");
+      rows.push([{ v: "fleet", cls: "sum" }, f.frames, f.render.count, ms(f.render.p50_ms), ms(f.render.p99_ms), "-", pct(f.cache_hit_rate)]);
+      (f.per_backend || []).forEach(function (b) {
+        var skew = b.p99_skew_vs_fleet || 0;
+        rows.push(b.err ? [b.url, { v: b.err, cls: "bad", span: 6 }] : [b.url, b.frames, b.render_count,
+          ms(b.render_p50_ms), ms(b.render_p99_ms),
+          { v: skew.toFixed(2) + "x", cls: skew > 1.5 ? "bad" : skew > 1.1 ? "warn" : "" }, pct(b.cache_hit_rate)]);
+      });
     } else {
-      document.getElementById("fleetage").textContent = "(no scrape yet)";
+      setText("fleetage", "(no scrape yet)");
     }
-    document.querySelector("#fleet tbody").innerHTML = frows;
-    let trows = "";
-    for (const t of m.recent_traces || []) {
-      const cls = t.status >= 200 && t.status < 300 ? "ok" : "bad";
-      trows += '<tr><td><a style="color:#7fb3d1" href="' + t.trace_url + '">' + t.id +
-        '</a></td><td><span class="' + cls + '">' + t.status + "</span></td><td>" +
-        ms(t.dur_ms) + "</td><td>" + t.attempts + "</td><td>" + t.label + "</td></tr>";
-    }
-    document.querySelector("#traces tbody").innerHTML = trows;
-    document.getElementById("err").textContent = "";
-  } catch (e) {
-    document.getElementById("err").textContent = "fetch failed: " + e;
-  }
+    table("fleet", ["backend", "frames", "renders", "p50", "p99", "p99 skew", "cache hit"], rows);
+    table("traces", ["trace", "status", "duration", "attempts", "label"], (m.recent_traces || []).map(function (t) {
+      return [{ v: t.id, href: t.trace_url }, { v: t.status, cls: t.status >= 200 && t.status < 300 ? "ok" : "bad" },
+        ms(t.dur_ms), t.attempts, t.label];
+    }));
+  });
 }
-tick();
-setInterval(tick, 1000);
-</script>
-</body>
-</html>
-`
+every(1000, refresh);
+`)

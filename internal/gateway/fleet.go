@@ -203,50 +203,20 @@ func (g *Gateway) fleetSnapshot() fleetMetrics {
 	return fm
 }
 
-// setupFleetSLO builds the fleet-level SLO engine over the merged
-// scrape state. Sources read cumulative fleet counters:
+// fleetSLOSource maps one objective onto the merged fleet state, or nil
+// when the objective cannot be answered from it — slo.Build skips those
+// with a log line. Sources read cumulative fleet counters:
 //
 //   - latency objectives read the merged render histogram — good is the
 //     cumulative count at or under the threshold, total the count;
 //   - availability objectives read the summed /render endpoint counters
 //     — good is requests minus 5xx responses.
 //
-// A backend restart resets its share of the counters; the engine's
-// windowed deltas clamp negative movement to zero, so an alert can be
-// briefly understated after a restart but never invented. Objectives
-// naming endpoints other than /render are skipped with a log line —
-// the fleet aggregation only merges the render path.
-func (g *Gateway) setupFleetSLO() {
-	if g.cfg.FleetInterval < 0 {
-		return
-	}
-	objs := g.cfg.SLO
-	if objs == nil {
-		objs, _ = slo.Parse(slo.DefaultSpec)
-	}
-	kept := make([]slo.Objective, 0, len(objs))
-	srcs := make([]slo.Source, 0, len(objs))
-	for _, o := range objs {
-		src := g.fleetSLOSource(o)
-		if src == nil {
-			g.log.Error("fleet slo objective names an unmerged endpoint; skipped",
-				"name", o.Name, "endpoint", o.Endpoint)
-			continue
-		}
-		kept = append(kept, o)
-		srcs = append(srcs, src)
-	}
-	eng, err := slo.New(kept, srcs, nil)
-	if err != nil {
-		g.log.Error("fleet slo engine disabled", "err", err)
-		return
-	}
-	g.fleetSLO = eng
-	g.fleetSLO.Tick() // anchor sample
-}
-
-// fleetSLOSource maps one objective onto the merged fleet state, or nil
-// when the objective cannot be answered from it.
+// Only /render objectives are answerable: the fleet aggregation merges
+// the render path alone. A backend restart resets its share of the
+// counters; the engine's windowed deltas clamp negative movement to zero,
+// so an alert can be briefly understated after a restart but never
+// invented. The engine ticks from ScrapeFleetNow and on every read.
 func (g *Gateway) fleetSLOSource(o slo.Objective) slo.Source {
 	if o.Endpoint != "/render" {
 		return nil
@@ -255,10 +225,7 @@ func (g *Gateway) fleetSLOSource(o slo.Objective) slo.Source {
 	case slo.Latency:
 		thr := o.ThresholdNS
 		return func() (good, total int64) {
-			g.fleet.mu.Lock()
-			states := append([]fleetBackendState(nil), g.fleet.backends...)
-			g.fleet.mu.Unlock()
-			merged := g.mergedHistogram(states, "render_seconds")
+			merged := g.mergedHistogramLocked("render_seconds")
 			return merged.CumulativeLE(thr), merged.Count
 		}
 	case slo.Availability:
@@ -279,30 +246,4 @@ func (g *Gateway) fleetSLOSource(o slo.Objective) slo.Source {
 		}
 	}
 	return nil
-}
-
-// fleetSLOStatuses samples and evaluates the fleet objectives, worst
-// first; nil when the engine is disabled.
-func (g *Gateway) fleetSLOStatuses() []slo.Status {
-	if g.fleetSLO == nil {
-		return nil
-	}
-	g.fleetSLO.Tick()
-	sts := g.fleetSLO.Status()
-	slo.SortStatuses(sts)
-	return sts
-}
-
-// handleSLO is GET /debug/slo on the gateway: the fleet-level
-// objectives' compliance, error budget and burn-alert state.
-func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if g.fleetSLO == nil {
-		writeJSONError(w, http.StatusNotFound, "fleet slo engine disabled")
-		return
-	}
-	sts := g.fleetSLOStatuses()
-	writeJSONIndent(w, struct {
-		Alerting   int          `json:"alerting"`
-		Objectives []slo.Status `json:"objectives"`
-	}{Alerting: slo.AlertingCount(sts), Objectives: sts})
 }

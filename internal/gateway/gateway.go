@@ -37,7 +37,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -237,10 +236,7 @@ type Gateway struct {
 	// round-trips (float64 is exact to 2^53).
 	traceBase uint64
 
-	// Gateway-side span tracing (nil tracer = disabled).
-	tracer   *telemetry.Tracer
-	epoch    time.Time
-	spanPool sync.Pool
+	tracer *telemetry.Tracer // gateway-side span tracing (nil = disabled)
 
 	// Fleet aggregation state and the fleet-level SLO engine.
 	fleet    fleetState
@@ -297,17 +293,18 @@ func New(cfg Config) (*Gateway, error) {
 		log:         log,
 		start:       time.Now(),
 		traceBase:   (uint64(time.Now().Unix()) << 21) & (1<<52 - 1),
-		epoch:       time.Now(),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		hRender:     telemetry.NewHistogram("gateway_render", ""),
-		hAttempt:    telemetry.NewHistogram("gateway_attempt", ""),
+		hRender:     telemetry.NewHistogram(),
+		hAttempt:    telemetry.NewHistogram(),
 		healthStop:  make(chan struct{}),
 	}
 	g.hedge.delay.Store(int64(cfg.HedgeMax))
 	if cfg.TraceRing >= 0 {
 		g.tracer = telemetry.NewTracer(cfg.TraceRing, 0, 0)
 	}
-	g.spanPool.New = func() any { return telemetry.NewFrameSpans(g.epoch) }
+	if cfg.FleetInterval >= 0 {
+		g.fleetSLO = slo.Build(cfg.SLO, g.fleetSLOSource, log)
+	}
 	for i, u := range cfg.Backends {
 		b := &backend{url: u, idx: i, breaker: newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)}
 		b.healthy.Store(true)
@@ -318,11 +315,10 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
 	g.mux.HandleFunc("/readyz", g.handleReadyz)
 	g.mux.HandleFunc("/metrics", g.handleMetrics)
-	g.mux.HandleFunc("/debug/dash", g.handleDash)
-	g.mux.HandleFunc("/debug/spans", g.handleSpans)
+	g.mux.HandleFunc("/debug/dash", dashHandler)
+	g.mux.HandleFunc("/debug/spans", telemetry.SpansHandler(g.tracer, log))
 	g.mux.HandleFunc("/debug/trace", g.handleTrace)
-	g.mux.HandleFunc("/debug/slo", g.handleSLO)
-	g.setupFleetSLO()
+	g.mux.HandleFunc("/debug/slo", slo.Handler(g.fleetSLO, log))
 	g.healthWG.Add(1)
 	go g.healthLoop()
 	if g.cfg.FleetInterval > 0 {
@@ -447,29 +443,25 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Breaker: b.breaker.State().String(), InFlight: b.inflight.Load(),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
+	telemetry.WriteJSON(w, http.StatusOK, doc, g.log)
 }
 
 // handleReadyz is the gateway's routability: ready while not draining
 // and at least one backend is eligible for traffic.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if g.draining.Load() {
 		w.Header().Set("Retry-After", "5")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "draining"})
+		telemetry.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"}, g.log)
 		return
 	}
 	for _, b := range g.backends {
 		if b.healthy.Load() && b.breaker.State() != BreakerOpen {
-			json.NewEncoder(w).Encode(map[string]any{"ready": true})
+			telemetry.WriteJSON(w, http.StatusOK, map[string]any{"ready": true}, g.log)
 			return
 		}
 	}
 	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "no eligible backend"})
+	telemetry.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "no eligible backend"}, g.log)
 }
 
 // hedgeCache holds the learned hedge delay. Every request arms its hedge

@@ -1,9 +1,6 @@
 package gateway
 
 import (
-	"fmt"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +9,7 @@ import (
 )
 
 // Gateway-side span tracing: the same pooled FrameSpans machinery the
-// backends run in their render workers, recording the gateway's routing
+// backends run for their requests, recording the gateway's routing
 // work instead — pick, backoff, breaker transitions, hedge arming, and
 // each attempt's connect/first-byte/body phases. Spans land on lanes by
 // role: the request lane (worker -1) carries the policy events, and
@@ -25,8 +22,8 @@ import (
 // the trace cannot be finalized when the handler returns — the loser
 // would record into a recorder already back in the pool. gwTrace is
 // reference-counted instead: the handler holds one reference and every
-// launched attempt holds one; whoever releases last builds the Trace,
-// hands it to the tracer ring, and returns the recorder to the pool.
+// launched attempt holds one; whoever releases last captures the Trace
+// (which recycles the recorder) and hands it to the tracer ring.
 type gwTrace struct {
 	g       *Gateway
 	id      uint64
@@ -49,16 +46,9 @@ func (g *Gateway) startGwTrace(id uint64, label string, t0 time.Time) *gwTrace {
 	if g.tracer == nil {
 		return nil
 	}
-	fs := g.spanPool.Get().(*telemetry.FrameSpans)
-	fs.Reset(g.epoch)
-	t := &gwTrace{g: g, id: id, label: label, startNS: t0.Sub(g.epoch).Nanoseconds(), spans: fs}
+	t := &gwTrace{g: g, id: id, label: label, startNS: telemetry.SinceEpoch(t0), spans: telemetry.GetSpans()}
 	t.pending.Store(1)
 	return t
-}
-
-// sinceEpochNS converts an instant to the gateway trace timeline.
-func (t *gwTrace) sinceEpochNS(at time.Time) int64 {
-	return at.Sub(t.g.epoch).Nanoseconds()
 }
 
 // span records one request-lane policy span. Nil-safe.
@@ -138,67 +128,22 @@ func (t *gwTrace) finish(status int, now time.Time) {
 		return
 	}
 	t.status.Store(int32(status))
-	t.durNS.Store(t.sinceEpochNS(now) - t.startNS)
+	t.durNS.Store(telemetry.SinceEpoch(now) - t.startNS)
 	t.release()
 }
 
-// publish builds the Trace, hands it to the tracer, and recycles the
-// recorder. Runs exactly once, on whichever goroutine released last; by
+// publish captures the Trace, recycling the recorder, and hands it to the
+// tracer. Runs exactly once, on whichever goroutine released last; by
 // then no goroutine can record or amend, so reading the recorder and
 // giving the attempts away is safe.
 func (t *gwTrace) publish() {
-	spans := t.spans.Spans()
-	tr := &telemetry.Trace{
+	t.g.tracer.Add(t.g.tracer.Capture(t.spans, telemetry.Trace{
 		ID:       t.id,
 		Label:    t.label,
 		StartNS:  t.startNS,
 		DurNS:    t.durNS.Load(),
 		Status:   int(t.status.Load()),
-		Dropped:  t.spans.Dropped(),
-		Spans:    append(t.g.tracer.SpanBuf(len(spans)), spans...),
 		Attempts: t.attempts, // every attempt has released: nothing amends them now
-	}
-	t.g.spanPool.Put(t.spans)
+	}))
 	t.spans = nil
-	t.g.tracer.Add(tr)
-}
-
-// handleSpans is GET /debug/spans on the gateway: the retained gateway
-// traces as Chrome trace-event JSON, same interface as the backends'.
-// ?id=N restricts to one trace, ?format=raw returns plain JSON (the
-// form fleet tooling consumes), ?view=timeline renders text bars.
-func (g *Gateway) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if g.tracer == nil {
-		writeJSONError(w, http.StatusNotFound, "span tracing disabled")
-		return
-	}
-	var traces []*telemetry.Trace
-	if v := r.URL.Query().Get("id"); v != "" {
-		id, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad id %q", v))
-			return
-		}
-		traces = g.tracer.FindAll(id)
-		if len(traces) == 0 {
-			writeJSONError(w, http.StatusNotFound, fmt.Sprintf("no retained trace with id %d", id))
-			return
-		}
-	} else {
-		traces = g.tracer.Traces()
-	}
-	switch {
-	case r.URL.Query().Get("view") == "timeline":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, tr := range traces {
-			fmt.Fprintln(w, telemetry.Timeline(tr))
-		}
-	case r.URL.Query().Get("format") == "raw":
-		writeJSONIndent(w, traces)
-	default:
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := telemetry.WriteChromeTrace(w, traces); err != nil {
-			g.log.Warn("span export failed", "err", err)
-		}
-	}
 }

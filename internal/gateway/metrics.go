@@ -1,9 +1,7 @@
 package gateway
 
 import (
-	"encoding/json"
 	"net/http"
-	"strings"
 	"time"
 
 	"shearwarp/internal/telemetry"
@@ -79,24 +77,40 @@ func (g *Gateway) metrics() gatewayMetrics {
 }
 
 // handleMetrics serves the gateway's counters: JSON by default, the
-// Prometheus text exposition format when the Accept header asks for
-// text/plain (same content negotiation as the backends' /metrics).
+// Prometheus text exposition for a scraper (the backends' negotiation).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if acceptsPromText(r.Header.Get("Accept")) {
-		g.writeProm(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.metrics())
+	telemetry.ServeMetrics(w, r, g.log, func() any { return g.metrics() }, g.writeProm)
+}
+
+// backendSeries are the per-backend Prometheus families, one series per
+// backend each, in exposition order.
+var backendSeries = []struct {
+	name, help string
+	counter    bool
+	value      func(*backend) float64
+}{
+	{"shearwarpgw_backend_healthy", "Health checker verdict (1 = routable).", false,
+		func(b *backend) float64 { return b2f(b.healthy.Load()) }},
+	{"shearwarpgw_backend_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.", false,
+		func(b *backend) float64 { return float64(b.breaker.State()) }},
+	{"shearwarpgw_backend_breaker_opens_total", "Circuit breaker open transitions (ejections).", true,
+		func(b *backend) float64 { return float64(b.breaker.opens.Load()) }},
+	{"shearwarpgw_backend_inflight", "Attempts currently running against the backend.", false,
+		func(b *backend) float64 { return float64(b.inflight.Load()) }},
+	{"shearwarpgw_backend_requests_total", "Attempts started against the backend.", true,
+		func(b *backend) float64 { return float64(b.requests.Load()) }},
+	{"shearwarpgw_backend_failures_total", "Attempts that failed against the backend.", true,
+		func(b *backend) float64 { return float64(b.failures.Load()) }},
+	{"shearwarpgw_backend_retries_total", "Retry attempts that landed on the backend.", true,
+		func(b *backend) float64 { return float64(b.retries.Load()) }},
+	{"shearwarpgw_backend_hedges_total", "Hedged attempts that landed on the backend.", true,
+		func(b *backend) float64 { return float64(b.hedges.Load()) }},
+	{"shearwarpgw_backend_hedge_wins_total", "Hedged attempts on the backend that won their request.", true,
+		func(b *backend) float64 { return float64(b.hedgeWins.Load()) }},
 }
 
 // writeProm emits the shearwarpgw_* series.
-func (g *Gateway) writeProm(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", telemetry.PromContentType)
-	pw := telemetry.NewPromWriter(w)
-
+func (g *Gateway) writeProm(pw *telemetry.PromWriter) {
 	pw.Counter("shearwarpgw_requests_total", "Proxied /render requests completed.", float64(g.requests.Load()))
 	pw.Counter("shearwarpgw_success_total", "Proxied /render requests answered 2xx.", float64(g.successes.Load()))
 	pw.Counter("shearwarpgw_retries_total", "Retry attempts launched.", float64(g.retried.Load()))
@@ -107,33 +121,14 @@ func (g *Gateway) writeProm(w http.ResponseWriter) {
 	pw.Gauge("shearwarpgw_hedge_delay_seconds", "Current learned tail-latency hedge threshold.", float64(g.hedgeDelay())/1e9)
 	pw.Gauge("shearwarpgw_draining", "1 while the gateway is draining.", b2f(g.draining.Load()))
 
-	// Per-backend series, one contiguous group per metric name.
-	for _, b := range g.backends {
-		pw.Gauge("shearwarpgw_backend_healthy", "Health checker verdict (1 = routable).", b2f(b.healthy.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Gauge("shearwarpgw_backend_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.", float64(b.breaker.State()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_breaker_opens_total", "Circuit breaker open transitions (ejections).", float64(b.breaker.opens.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Gauge("shearwarpgw_backend_inflight", "Attempts currently running against the backend.", float64(b.inflight.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_requests_total", "Attempts started against the backend.", float64(b.requests.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_failures_total", "Attempts that failed against the backend.", float64(b.failures.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_retries_total", "Retry attempts that landed on the backend.", float64(b.retries.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_hedges_total", "Hedged attempts that landed on the backend.", float64(b.hedges.Load()), "backend", b.url)
-	}
-	for _, b := range g.backends {
-		pw.Counter("shearwarpgw_backend_hedge_wins_total", "Hedged attempts on the backend that won their request.", float64(b.hedgeWins.Load()), "backend", b.url)
+	for _, m := range backendSeries {
+		emit := pw.Gauge
+		if m.counter {
+			emit = pw.Counter
+		}
+		for _, b := range g.backends {
+			emit(m.name, m.help, m.value(b), "backend", b.url)
+		}
 	}
 
 	pw.Histogram("shearwarpgw_render_seconds", "End-to-end proxied render latency (2xx only).", g.hRender.Snapshot())
@@ -154,7 +149,8 @@ func (g *Gateway) writeProm(w http.ResponseWriter) {
 }
 
 // mergedHistogramLocked snapshots the fleet state and merges one named
-// histogram — the prom exporter's accessor.
+// histogram — the accessor for readers outside the scrape loop (the
+// exposition, the fleet SLO source).
 func (g *Gateway) mergedHistogramLocked(name string) *telemetry.HistogramSnapshot {
 	g.fleet.mu.Lock()
 	states := append([]fleetBackendState(nil), g.fleet.backends...)
@@ -167,12 +163,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// acceptsPromText mirrors the backends' content negotiation: Prometheus
-// scrapers send text/plain (or openmetrics) Accept headers; everything
-// else gets JSON.
-func acceptsPromText(accept string) bool {
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
 }

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -132,7 +131,7 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	if g.draining.Load() {
 		w.Header().Set("Retry-After", "5")
-		writeJSONError(w, http.StatusServiceUnavailable, "gateway draining")
+		telemetry.WriteError(w, http.StatusServiceUnavailable, "gateway draining")
 		return
 	}
 	g.inflight.Add(1)
@@ -189,7 +188,7 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 		if res.errClass != "" {
 			w.Header().Set(server.ErrorClassHeader, res.errClass)
 		}
-		writeJSONError(w, res.errStatus, res.errMsg)
+		telemetry.WriteError(w, res.errStatus, "%s", res.errMsg)
 		tr.finish(res.errStatus, time.Now())
 		log.Warn("render failed", "status", res.errStatus, "class", res.errClass,
 			"affinity", key, "attempts", res.attempts, "backends", backends,
@@ -315,7 +314,7 @@ func (g *Gateway) proxy(ctx context.Context, key, path string, id uint64, tr *gw
 			tr.retain() // the attempt's reference; released after its amend
 			tr.addAttempt(telemetry.AttemptRef{
 				Ordinal: ordinal, Backend: b.url, Hedged: hedged, Retry: isRetry,
-				SendNS: tr.sinceEpochNS(now),
+				SendNS: telemetry.SinceEpoch(now),
 			})
 		}
 		g.inflight.Add(1)
@@ -331,7 +330,7 @@ func (g *Gateway) proxy(ctx context.Context, key, path string, id uint64, tr *gw
 					tr.event("breaker "+b.url+" "+prior.String()+"->"+st.String(), now)
 				}
 				tr.amendAttempt(ordinal, func(a *telemetry.AttemptRef) {
-					a.RecvNS = tr.sinceEpochNS(now)
+					a.RecvNS = telemetry.SinceEpoch(now)
 					a.Class = res.class
 					a.Canceled = res.class == classCanceled
 					if res.resp != nil {
@@ -725,10 +724,4 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

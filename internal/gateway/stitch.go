@@ -179,22 +179,22 @@ func findAttemptTrace(traces []*telemetry.Trace, ordinal int) *telemetry.Trace {
 // set) into marked rows instead of failing the whole stitch.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if g.tracer == nil {
-		writeJSONError(w, http.StatusNotFound, "span tracing disabled")
+		telemetry.WriteError(w, http.StatusNotFound, "span tracing disabled")
 		return
 	}
 	v := r.URL.Query().Get("id")
 	if v == "" {
-		writeJSONError(w, http.StatusBadRequest, "id required (e.g. /debug/trace?id=42)")
+		telemetry.WriteError(w, http.StatusBadRequest, "id required (e.g. /debug/trace?id=42)")
 		return
 	}
 	id, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad id %q", v))
+		telemetry.WriteError(w, http.StatusBadRequest, "bad id %q", v)
 		return
 	}
 	tr := g.tracer.Find(id)
 	if tr == nil {
-		writeJSONError(w, http.StatusNotFound, fmt.Sprintf("no retained trace with id %d", id))
+		telemetry.WriteError(w, http.StatusNotFound, "no retained trace with id %d", id)
 		return
 	}
 	rows := g.stitch(r.Context(), tr)
@@ -238,12 +238,4 @@ func (g *Gateway) recentTraces(n int) []recentTraceRef {
 		})
 	}
 	return out
-}
-
-// writeJSONIndent writes v as indented JSON.
-func writeJSONIndent(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

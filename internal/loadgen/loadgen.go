@@ -244,7 +244,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	st := &runState{
-		hist:     telemetry.NewHistogram("loadgen_client_seconds", ""),
+		hist:     telemetry.NewHistogram(),
 		retryCap: cfg.RetryAfterCap,
 		statuses: make(map[int]int64),
 		volumes:  make(map[string]int64),

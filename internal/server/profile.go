@@ -7,6 +7,8 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"time"
+
+	"shearwarp/internal/telemetry"
 )
 
 // handleProfile is GET /debug/profile?seconds=S[&during=render]: an
@@ -30,7 +32,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("seconds"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {
-			httpError(w, http.StatusBadRequest, "bad seconds %q", v)
+			telemetry.WriteError(w, http.StatusBadRequest, "bad seconds %q", v)
 			return
 		}
 		secs = f
@@ -38,7 +40,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	secs = min(max(secs, 0.05), 30)
 
 	if !s.profiling.CompareAndSwap(false, true) {
-		httpError(w, http.StatusConflict, "a profile capture is already running")
+		telemetry.WriteError(w, http.StatusConflict, "a profile capture is already running")
 		return
 	}
 	defer s.profiling.Store(false)
@@ -53,7 +55,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			}
 			select {
 			case <-r.Context().Done():
-				httpError(w, 499, "client went away")
+				telemetry.WriteError(w, 499, "client went away")
 				return
 			case <-time.After(5 * time.Millisecond):
 			}
@@ -66,7 +68,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		// Another subsystem (a test, an external pprof listener) owns the
 		// one CPU profiler slot.
-		httpError(w, http.StatusConflict, "cpu profiling unavailable: %v", err)
+		telemetry.WriteError(w, http.StatusConflict, "cpu profiling unavailable: %v", err)
 		return
 	}
 	select {

@@ -37,7 +37,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -48,7 +47,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,36 +232,34 @@ func New(cfg Config) *Server {
 	}
 	s.tel = newServerTelemetry(&cfg)
 	s.cache.OnBuild = s.tel.onCacheBuild
-	s.mRender.latency = telemetry.NewHistogram("render", "")
+	for _, m := range []*endpointMetrics{&s.mRender, &s.mHealth, &s.mReady, &s.mMetrics,
+		&s.mSpans, &s.mLatency, &s.mSLO, &s.mDash, &s.mProfile} {
+		m.latency = telemetry.NewHistogram()
+	}
 	// The render endpoint's histogram retains exemplars: tail buckets
 	// link back to the request (and its span trace) that landed there.
 	s.mRender.latency.EnableExemplars()
-	s.mHealth.latency = telemetry.NewHistogram("healthz", "")
-	s.mMetrics.latency = telemetry.NewHistogram("metrics", "")
-	s.mSpans.latency = telemetry.NewHistogram("spans", "")
-	s.mLatency.latency = telemetry.NewHistogram("latency", "")
-	s.mSLO.latency = telemetry.NewHistogram("slo", "")
-	s.mDash.latency = telemetry.NewHistogram("dash", "")
-	s.mProfile.latency = telemetry.NewHistogram("profile", "")
-	s.mReady.latency = telemetry.NewHistogram("readyz", "")
+	if cfg.SLOInterval >= 0 {
+		s.slo = slo.Build(cfg.SLO, s.sloSource, s.tel.logger)
+	}
+	if s.slo != nil {
+		go s.sloLoop(cfg.SLOInterval)
+	}
+	spans := s.instrument(&s.mSpans, telemetry.SpansHandler(s.tel.tracer, s.tel.logger))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/render", s.instrument(&s.mRender, s.handleRender))
 	s.mux.HandleFunc("/healthz", s.instrument(&s.mHealth, s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument(&s.mReady, s.handleReadyz))
 	s.mux.HandleFunc("/metrics", s.instrument(&s.mMetrics, s.handleMetrics))
-	s.mux.HandleFunc("/debug/spans", s.instrument(&s.mSpans, s.handleSpans))
+	s.mux.HandleFunc("/debug/spans", spans)
 	// Alias: the gateway's stitched-trace URLs use /debug/trace; serving
 	// the same handler here lets a trace URL recorded against a bare
 	// backend (no gateway) resolve to that backend's span sets.
-	s.mux.HandleFunc("/debug/trace", s.instrument(&s.mSpans, s.handleSpans))
+	s.mux.HandleFunc("/debug/trace", spans)
 	s.mux.HandleFunc("/debug/latency", s.instrument(&s.mLatency, s.handleLatency))
-	s.mux.HandleFunc("/debug/slo", s.instrument(&s.mSLO, s.handleSLO))
-	s.mux.HandleFunc("/debug/dash", s.instrument(&s.mDash, s.handleDash))
+	s.mux.HandleFunc("/debug/slo", s.instrument(&s.mSLO, slo.Handler(s.slo, s.tel.logger)))
+	s.mux.HandleFunc("/debug/dash", s.instrument(&s.mDash, dashHandler))
 	s.mux.HandleFunc("/debug/profile", s.instrument(&s.mProfile, s.handleProfile))
-	s.setupSLO()
-	if s.slo != nil {
-		go s.sloLoop(cfg.SLOInterval)
-	}
 	return s
 }
 
@@ -387,20 +383,13 @@ func (s *Server) instrument(m *endpointMetrics, h http.HandlerFunc) http.Handler
 	}
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // httpUnavailable writes a 503 carrying a Retry-After hint: shed and
 // draining responses tell well-behaved clients (the gateway, loadgen)
 // when re-arrival is worth trying instead of leaving them to hammer an
 // overloaded or departing backend.
 func httpUnavailable(w http.ResponseWriter, retryAfterSecs int, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
-	httpError(w, http.StatusServiceUnavailable, format, args...)
+	telemetry.WriteError(w, http.StatusServiceUnavailable, format, args...)
 }
 
 // admit claims an admission slot, waiting up to QueueTimeout while the
@@ -545,38 +534,38 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	rec := s.vols[name]
 	s.mu.Unlock()
 	if rec == nil {
-		httpError(w, http.StatusNotFound, "unknown volume %q", name)
+		telemetry.WriteError(w, http.StatusNotFound, "unknown volume %q", name)
 		return
 	}
 
 	yaw, err := parseFloat(q, "yaw", 30)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pitch, err := parseFloat(q, "pitch", 15)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	alg := s.cfg.Algorithm
 	if v := q.Get("alg"); v != "" {
 		if alg, err = shearwarp.ParseAlgorithm(v); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	transfer := rec.transfer
 	if v := q.Get("transfer"); v != "" {
 		if transfer, err = shearwarp.ParseTransfer(v); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	mode := s.cfg.Mode
 	if v := q.Get("mode"); v != "" {
 		if mode, err = shearwarp.ParseMode(v); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -584,7 +573,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("iso"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 0 || n > 255 {
-			httpError(w, http.StatusBadRequest, "bad iso %q: threshold must be in 0-255", v)
+			telemetry.WriteError(w, http.StatusBadRequest, "bad iso %q: threshold must be in 0-255", v)
 			return
 		}
 		iso = uint8(n)
@@ -595,7 +584,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		format = "ppm"
 	}
 	if format != "ppm" && format != "png" {
-		httpError(w, http.StatusBadRequest, "unknown format %q (ppm, png)", format)
+		telemetry.WriteError(w, http.StatusBadRequest, "unknown format %q (ppm, png)", format)
 		return
 	}
 
@@ -670,7 +659,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			// drain rather than inviting an immediate repeat rejection.
 			httpUnavailable(w, 1, "%s", msg)
 		} else {
-			httpError(w, status, "%s", msg)
+			telemetry.WriteError(w, status, "%s", msg)
 		}
 		return
 	}
@@ -690,7 +679,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		// mode): type the response so the gateway's retry policy does not
 		// burn its budget re-rendering a volume that cannot build.
 		w.Header().Set(ErrorClassHeader, ErrClassBuildFailure)
-		httpError(w, http.StatusInternalServerError, "preparing volume: %v", err)
+		telemetry.WriteError(w, http.StatusInternalServerError, "preparing volume: %v", err)
 		return
 	}
 	ren, err := pool.Acquire(ctx)
@@ -702,13 +691,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
-			httpError(w, code, "deadline expired waiting for a renderer")
+			telemetry.WriteError(w, code, "deadline expired waiting for a renderer")
 		case errors.Is(err, shearwarp.ErrPoolClosed):
 			code = http.StatusServiceUnavailable
 			httpUnavailable(w, 5, "server shutting down")
 		default:
 			code = 499
-			httpError(w, code, "client went away")
+			telemetry.WriteError(w, code, "client went away")
 		}
 		log.Warn("renderer acquisition failed", "status", code, "err", err)
 		rt.finish(code, time.Now())
@@ -798,7 +787,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			"duration_ms", float64(time.Since(t0))/1e6)
 		rt.handlerExits(http.StatusInternalServerError, time.Now())
 		w.Header().Set(ErrorClassHeader, ErrClassWatchdogStall)
-		httpError(w, http.StatusInternalServerError,
+		telemetry.WriteError(w, http.StatusInternalServerError,
 			"watchdog: frame exceeded %v and was cancelled", s.cfg.WatchdogTimeout)
 		return
 	case <-ctx.Done():
@@ -807,9 +796,9 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		code := 499
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
-			httpError(w, code, "deadline expired while rendering")
+			telemetry.WriteError(w, code, "deadline expired while rendering")
 		} else {
-			httpError(w, code, "client went away")
+			telemetry.WriteError(w, code, "client went away")
 		}
 		log.Warn("request abandoned", "status", code,
 			"duration_ms", float64(time.Since(t0))/1e6)
@@ -824,7 +813,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			// sent yet, so the client gets a status instead of a short body.
 			log.Warn("encoding the frame failed", "format", format, "err", res.err)
 			rt.handlerFinishes(http.StatusInternalServerError, time.Now())
-			httpError(w, http.StatusInternalServerError, "encoding %s: %v", format, res.err)
+			telemetry.WriteError(w, http.StatusInternalServerError, "encoding %s: %v", format, res.err)
 			return
 		}
 	}
@@ -835,23 +824,23 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(res.err, &ve):
 			code = http.StatusBadRequest
-			httpError(w, code, "%v", ve)
+			telemetry.WriteError(w, code, "%v", ve)
 		case errors.As(res.err, &fe):
 			code = http.StatusInternalServerError
 			// The renderer has been replaced; a retry runs on a fresh one.
 			w.Header().Set(ErrorClassHeader, ErrClassFramePanic)
-			httpError(w, code, "frame failed: %v", fe)
+			telemetry.WriteError(w, code, "frame failed: %v", fe)
 		case errors.Is(res.err, context.DeadlineExceeded):
 			s.cancels.Add(1)
 			code = http.StatusGatewayTimeout
-			httpError(w, code, "deadline expired while rendering")
+			telemetry.WriteError(w, code, "deadline expired while rendering")
 		case errors.Is(res.err, context.Canceled):
 			s.cancels.Add(1)
 			code = 499
-			httpError(w, code, "client went away")
+			telemetry.WriteError(w, code, "client went away")
 		default:
 			code = http.StatusInternalServerError
-			httpError(w, code, "render failed: %v", res.err)
+			telemetry.WriteError(w, code, "render failed: %v", res.err)
 		}
 		log.Error("render failed", "status", code, "err", res.err,
 			"duration_ms", float64(time.Since(t0))/1e6)
@@ -897,9 +886,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "shutting-down"
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
+	telemetry.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"volumes":        len(names),
@@ -908,7 +895,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"rendering":      len(s.sem),
 		"queued":         s.waiting.Load(),
 		"frames":         s.frames.Load(),
-	})
+	}, s.tel.logger)
 }
 
 // handleReadyz is GET /readyz: routability, distinct from /healthz
@@ -916,14 +903,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // (BeginDrain), before the listener closes, so fleet health checkers
 // stop routing to a draining backend while it can still answer them.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.draining.Load() || s.closed.Load() {
 		w.Header().Set("Retry-After", "5")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "draining"})
+		telemetry.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"}, s.tel.logger)
 		return
 	}
-	json.NewEncoder(w).Encode(map[string]any{"ready": true})
+	telemetry.WriteJSON(w, http.StatusOK, map[string]any{"ready": true}, s.tel.logger)
 }
 
 // MetricsSnapshot is the full /metrics document.
@@ -988,7 +973,7 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 		},
 		Cache:        s.cache.Snapshot(),
 		CacheTenants: s.cacheTenants(),
-		SLO:          s.sloStatuses(),
+		SLO:          s.slo.Statuses(),
 		Phases:       s.cum.Snapshot(),
 		Histograms: map[string]telemetry.WireSnapshot{
 			"render_seconds":         s.mRender.latency.Snapshot().Wire(),
@@ -996,40 +981,4 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 			"cache_build_seconds":    s.tel.hBuild.Snapshot().Wire(),
 		},
 	}
-}
-
-// writeJSON writes v as indented JSON with an explicit Content-Type,
-// logging (it is too late to re-status) any encode or write failure.
-func writeJSON(w http.ResponseWriter, v any, logger *slog.Logger) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		logger.Warn("response encoding failed", "err", err)
-	}
-}
-
-// handleMetrics is GET /metrics: per-endpoint counters, preprocessing
-// cache counters, and the cumulative per-phase render-time totals.
-// Content negotiation selects the representation: an Accept header
-// naming text/plain (a Prometheus scraper) gets the text exposition
-// format with the latency histograms' _bucket/_sum/_count series; every
-// other request gets the JSON document, whose shape predates the
-// histograms and stays byte-compatible with its consumers (quantiles
-// live on /debug/latency).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if acceptsPromText(r.Header.Get("Accept")) {
-		s.handlePromMetrics(w)
-		return
-	}
-	writeJSON(w, s.metricsSnapshot(), s.tel.logger)
-}
-
-// acceptsPromText reports whether an Accept header asks for the
-// Prometheus text format. Prometheus scrapers send text/plain with a
-// version parameter (and openmetrics variants); a JSON-preferring or
-// absent Accept keeps the JSON default.
-func acceptsPromText(accept string) bool {
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"time"
 
 	"shearwarp/internal/slo"
@@ -20,40 +19,9 @@ import (
 // Sampling is both scrape-driven (every /debug/slo and /metrics read
 // ticks the engine, so tests and dashboards see fresh windows) and
 // backed by a ticker (Config.SLOInterval) so burn history exists even
-// when nothing scrapes during an outage.
-
-// setupSLO builds the engine from Config.SLO (default slo.DefaultSpec).
-// Objectives naming endpoints the server does not serve are skipped
-// with a log line; an engine-level failure (duplicate names) disables
-// the engine rather than the server.
-func (s *Server) setupSLO() {
-	if s.cfg.SLOInterval < 0 {
-		return
-	}
-	objs := s.cfg.SLO
-	if objs == nil {
-		objs, _ = slo.Parse(slo.DefaultSpec)
-	}
-	kept := make([]slo.Objective, 0, len(objs))
-	srcs := make([]slo.Source, 0, len(objs))
-	for _, o := range objs {
-		src := s.sloSource(o)
-		if src == nil {
-			s.tel.logger.Error("slo objective names an unserved endpoint; skipped",
-				"name", o.Name, "endpoint", o.Endpoint)
-			continue
-		}
-		kept = append(kept, o)
-		srcs = append(srcs, src)
-	}
-	eng, err := slo.New(kept, srcs, nil)
-	if err != nil {
-		s.tel.logger.Error("slo engine disabled", "err", err)
-		return
-	}
-	s.slo = eng
-	s.slo.Tick() // anchor sample: the first scrape already has a window base
-}
+// when nothing scrapes during an outage. slo.Build assembles the engine
+// from Config.SLO (default slo.DefaultSpec), skipping objectives that
+// name endpoints the server does not serve.
 
 // sloSource maps one objective onto the endpoint's live counters, or
 // nil when the endpoint (or kind) is unknown.
@@ -90,33 +58,4 @@ func (s *Server) sloLoop(interval time.Duration) {
 			return
 		}
 	}
-}
-
-// sloStatuses samples and evaluates every objective, worst first. Nil
-// when the engine is disabled.
-func (s *Server) sloStatuses() []slo.Status {
-	if s.slo == nil {
-		return nil
-	}
-	s.slo.Tick()
-	sts := s.slo.Status()
-	slo.SortStatuses(sts)
-	return sts
-}
-
-// SLOSnapshot is the /debug/slo document.
-type SLOSnapshot struct {
-	Alerting   int          `json:"alerting"` // objectives currently burning past threshold
-	Objectives []slo.Status `json:"objectives"`
-}
-
-// handleSLO is GET /debug/slo: every objective's compliance, error
-// budget and burn-rate alert state as JSON.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		httpError(w, http.StatusNotFound, "slo engine disabled")
-		return
-	}
-	sts := s.sloStatuses()
-	writeJSON(w, SLOSnapshot{Alerting: slo.AlertingCount(sts), Objectives: sts}, s.tel.logger)
 }

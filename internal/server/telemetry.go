@@ -5,8 +5,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,17 +17,15 @@ import (
 )
 
 // serverTelemetry is the request-level observability state of the
-// service: latency histograms, the per-request span recorders and the
-// tracer that retains their traces, and the structured logger. It is
-// always constructed (the histograms are a few KiB of atomics and
-// recording is a handful of atomic adds per request), and every request
-// records its spans, since the frame's phase breakdown is derived from
-// them; only retaining traces can be turned off, through
-// Config.TraceRing < 0.
+// service: latency histograms, the tracer that retains the requests'
+// span traces, and the structured logger. It is always constructed (the
+// histograms are a few KiB of atomics and recording is a handful of
+// atomic adds per request), and every request records its spans, since
+// the frame's phase breakdown is derived from them; only retaining traces
+// can be turned off, through Config.TraceRing < 0.
 type serverTelemetry struct {
 	logger *slog.Logger
 	tracer *telemetry.Tracer // nil when traces are not retained
-	epoch  time.Time         // span/trace timestamps are measured from here
 	reqSeq atomic.Uint64     // request-ID source (also the trace ID)
 
 	hQueue *telemetry.Histogram // admission wait, including the zero-wait fast path
@@ -39,42 +35,26 @@ type serverTelemetry struct {
 	// composite frame have different phase profiles, and folding them
 	// into one histogram would hide both.
 	hPhase [rendermode.Count][perf.NumPhases]*telemetry.Histogram
-
-	// spanPool recycles FrameSpans recorders across requests so a request
-	// allocates at most its retained Trace, not the 512-span recording
-	// buffer.
-	spanPool sync.Pool
 }
 
 func newServerTelemetry(cfg *Config) *serverTelemetry {
 	t := &serverTelemetry{
 		logger: cfg.Logger,
-		epoch:  time.Now(),
-		hQueue: telemetry.NewHistogram("shearwarpd_admission_wait_seconds",
-			"Time requests spent waiting for an admission slot."),
-		hBuild: telemetry.NewHistogram("shearwarpd_cache_build_seconds",
-			"Wall time of preprocessing cache builds (classification, RLE encoding)."),
+		hQueue: telemetry.NewHistogram(),
+		hBuild: telemetry.NewHistogram(),
 	}
 	if t.logger == nil {
 		t.logger = telemetry.DiscardLogger()
 	}
 	for m := range t.hPhase {
-		for ph := perf.Phase(0); ph < perf.NumPhases; ph++ {
-			t.hPhase[m][ph] = telemetry.NewHistogram("shearwarpd_phase_seconds",
-				"Per-worker per-frame render phase durations.")
+		for ph := range t.hPhase[m] {
+			t.hPhase[m][ph] = telemetry.NewHistogram()
 		}
 	}
 	if cfg.TraceRing >= 0 {
 		t.tracer = telemetry.NewTracer(cfg.TraceRing, 0, 0)
 	}
-	t.spanPool.New = func() any { return telemetry.NewFrameSpans(t.epoch) }
 	return t
-}
-
-// sinceEpochNS returns the instant t as nanoseconds past the telemetry
-// epoch — the clock traces and spans share.
-func (t *serverTelemetry) sinceEpochNS(at time.Time) int64 {
-	return at.Sub(t.epoch).Nanoseconds()
 }
 
 // observePhases feeds one frame's per-worker phase durations into the
@@ -137,17 +117,16 @@ type reqTrace struct {
 }
 
 // startTrace begins tracing one /render request. The recorder comes from
-// the pool and goes back when the trace is built.
+// telemetry's pool and goes back when the trace is built: every request
+// records, retained or not, because its phases are derived from the spans.
 func (t *serverTelemetry) startTrace(id uint64, attempt int, label string, start time.Time) *reqTrace {
-	fs := t.spanPool.Get().(*telemetry.FrameSpans)
-	fs.Reset(t.epoch)
 	return &reqTrace{
 		tel:     t,
 		id:      id,
 		attempt: attempt,
 		label:   label,
-		startNS: t.sinceEpochNS(start),
-		spans:   fs,
+		startNS: telemetry.SinceEpoch(start),
+		spans:   telemetry.GetSpans(),
 	}
 }
 
@@ -160,19 +139,9 @@ func (rt *reqTrace) record(name string, start time.Time, d time.Duration) {
 // are not retained — and returns the recorder to the pool. Call once,
 // after every recording worker is done; add fills in status and duration.
 func (rt *reqTrace) build() *telemetry.Trace {
-	var tr *telemetry.Trace
-	if rt.tel.tracer != nil {
-		spans := rt.spans.Spans()
-		tr = &telemetry.Trace{
-			ID:      rt.id,
-			Attempt: rt.attempt,
-			Label:   rt.label,
-			StartNS: rt.startNS,
-			Dropped: rt.spans.Dropped(),
-			Spans:   append(rt.tel.tracer.SpanBuf(len(spans)), spans...),
-		}
-	}
-	rt.tel.spanPool.Put(rt.spans)
+	tr := rt.tel.tracer.Capture(rt.spans, telemetry.Trace{
+		ID: rt.id, Attempt: rt.attempt, Label: rt.label, StartNS: rt.startNS,
+	})
 	rt.spans = nil
 	return tr
 }
@@ -184,7 +153,7 @@ func (rt *reqTrace) add(tr *telemetry.Trace, status int, now time.Time) {
 		return
 	}
 	tr.Status = status
-	tr.DurNS = rt.tel.sinceEpochNS(now) - rt.startNS
+	tr.DurNS = telemetry.SinceEpoch(now) - rt.startNS
 	rt.tel.tracer.Add(tr)
 }
 
@@ -227,15 +196,21 @@ func (rt *reqTrace) handlerFinishes(status int, now time.Time) {
 	rt.add(rt.tr, status, now)
 }
 
-// handlePromMetrics writes the Prometheus text exposition of every
-// counter and histogram the JSON snapshot carries, plus the latency
-// histograms that exist only here (the JSON document stays byte-
-// compatible with its pre-telemetry consumers, so quantiles live on
-// /debug/latency instead).
-func (s *Server) handlePromMetrics(w http.ResponseWriter) {
+// handleMetrics is GET /metrics: per-endpoint counters, preprocessing
+// cache counters, and the cumulative per-phase render-time totals, as the
+// JSON document (whose shape predates the histograms and stays
+// byte-compatible with its consumers; quantiles live on /debug/latency)
+// or, for a Prometheus scraper, as the text exposition with the latency
+// histograms' _bucket/_sum/_count series.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	telemetry.ServeMetrics(w, r, s.tel.logger, func() any { return s.metricsSnapshot() }, s.writeProm)
+}
+
+// writeProm writes the Prometheus text exposition of every counter and
+// histogram the JSON snapshot carries, plus the latency histograms that
+// exist only here.
+func (s *Server) writeProm(pw *telemetry.PromWriter) {
 	snap := s.metricsSnapshot()
-	w.Header().Set("Content-Type", telemetry.PromContentType)
-	pw := telemetry.NewPromWriter(w)
 
 	pw.Gauge("shearwarpd_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
 	pw.Gauge("shearwarpd_build_info", "Build identity; the value is always 1.", 1,
@@ -363,11 +338,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter) {
 		"Time requests spent waiting for an admission slot.", s.tel.hQueue.Snapshot())
 	pw.Histogram("shearwarpd_cache_build_seconds",
 		"Wall time of preprocessing cache builds.", s.tel.hBuild.Snapshot())
-
-	if err := pw.Err(); err != nil {
-		// Headers are long gone; all we can do is log the broken scrape.
-		s.tel.logger.Warn("metrics exposition failed", "err", err)
-	}
 }
 
 // endpointCounters maps a served path to its metrics block.
@@ -473,52 +443,7 @@ func (s *Server) latencySnapshot() LatencySnapshot {
 	return ls
 }
 
-// handleSpans is GET /debug/spans: the retained request traces as Chrome
-// trace-event JSON (loadable by chrome://tracing and ui.perfetto.dev).
-// ?id=N restricts to one fleet trace ID — all retained attempts under
-// that ID, since a backend can serve both the first try and a retry of
-// one fleet request. ?format=raw returns the traces as plain JSON (the
-// form the gateway's stitcher consumes); ?view=timeline renders the
-// paper's Figure 5/6 per-worker busy/sync/imbalance bars as text.
-// /debug/trace is an alias, so trace URLs recorded by loadgen resolve
-// against a bare backend the same way they do against the gateway.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if s.tel.tracer == nil {
-		httpError(w, http.StatusNotFound, "span tracing disabled")
-		return
-	}
-	var traces []*telemetry.Trace
-	if v := r.URL.Query().Get("id"); v != "" {
-		id, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad id %q", v)
-			return
-		}
-		traces = s.tel.tracer.FindAll(id)
-		if len(traces) == 0 {
-			httpError(w, http.StatusNotFound, "no retained trace with id %d", id)
-			return
-		}
-	} else {
-		traces = s.tel.tracer.Traces()
-	}
-	switch {
-	case r.URL.Query().Get("view") == "timeline":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, tr := range traces {
-			fmt.Fprintln(w, telemetry.Timeline(tr))
-		}
-	case r.URL.Query().Get("format") == "raw":
-		writeJSON(w, traces, s.tel.logger)
-	default:
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := telemetry.WriteChromeTrace(w, traces); err != nil {
-			s.tel.logger.Warn("span export failed", "err", err)
-		}
-	}
-}
-
 // handleLatency is GET /debug/latency: the quantile digests as JSON.
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.latencySnapshot(), s.tel.logger)
+	telemetry.WriteJSON(w, http.StatusOK, s.latencySnapshot(), s.tel.logger)
 }

@@ -245,7 +245,7 @@ func TestSortStatuses(t *testing.T) {
 		{Name: "a", BudgetRemaining: 0.9},
 		{Name: "c", Alerting: true, BudgetRemaining: 1},
 	}
-	SortStatuses(sts)
+	sortStatuses(sts)
 	if sts[0].Name != "c" || sts[1].Name != "b" || sts[2].Name != "a" {
 		t.Fatalf("sort order: %v %v %v", sts[0].Name, sts[1].Name, sts[2].Name)
 	}

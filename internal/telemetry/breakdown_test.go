@@ -35,7 +35,7 @@ func TestBreakdownThroughTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := NewHistogram("warp_seconds", "per-worker warp time")
+	h := NewHistogram()
 	var wantSum int64
 	for i := range back.PerWorker {
 		h.ObserveNS(back.PerWorker[i].WarpNS)

@@ -116,11 +116,6 @@ func (h *Histogram) EnableExemplars() {
 	h.exemplars = &exemplarStore{}
 }
 
-// ExemplarsEnabled reports whether the histogram retains exemplars.
-func (h *Histogram) ExemplarsEnabled() bool {
-	return h != nil && h.exemplars != nil
-}
-
 // ObserveExemplarNS records one duration like ObserveNS and, when the
 // histogram has an exemplar store, retains (v, reqID) as a candidate
 // exemplar for v's latency region. reqID 0 means "no request identity"

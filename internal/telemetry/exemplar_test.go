@@ -6,11 +6,8 @@ import (
 )
 
 func TestExemplarDisabledByDefault(t *testing.T) {
-	h := NewHistogram("x", "")
+	h := NewHistogram()
 	h.ObserveExemplarNS(1000, 42)
-	if h.ExemplarsEnabled() {
-		t.Fatal("exemplars enabled without EnableExemplars")
-	}
 	if got := h.Exemplars(); got != nil {
 		t.Fatalf("disabled histogram returned exemplars: %v", got)
 	}
@@ -20,7 +17,7 @@ func TestExemplarDisabledByDefault(t *testing.T) {
 }
 
 func TestExemplarCaptureAndRegions(t *testing.T) {
-	h := NewHistogram("x", "")
+	h := NewHistogram()
 	h.EnableExemplars()
 
 	// Two observations in well-separated octaves: both must be retained,
@@ -58,7 +55,7 @@ func TestExemplarCaptureAndRegions(t *testing.T) {
 // observation in a region overwrites the slot even when it is faster
 // than the retained value, so stale spikes eventually yield.
 func TestExemplarRefresh(t *testing.T) {
-	h := NewHistogram("x", "")
+	h := NewHistogram()
 	h.EnableExemplars()
 	h.ObserveExemplarNS(1<<20+1000, 1) // spike
 	for i := 0; i < refreshEvery; i++ {
@@ -71,7 +68,7 @@ func TestExemplarRefresh(t *testing.T) {
 }
 
 func TestExemplarZeroAllocs(t *testing.T) {
-	h := NewHistogram("x", "")
+	h := NewHistogram()
 	h.EnableExemplars()
 	var id uint64
 	allocs := testing.AllocsPerRun(100, func() {
@@ -81,7 +78,7 @@ func TestExemplarZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ObserveExemplarNS allocates %.1f allocs/op, want 0", allocs)
 	}
-	plain := NewHistogram("y", "")
+	plain := NewHistogram()
 	allocs = testing.AllocsPerRun(100, func() {
 		plain.ObserveNS(4096)
 	})
@@ -95,7 +92,7 @@ func TestExemplarZeroAllocs(t *testing.T) {
 // request's ID. Each goroutine observes a value that encodes its
 // request ID, so any retained exemplar can be checked for consistency.
 func TestExemplarConcurrent(t *testing.T) {
-	h := NewHistogram("x", "")
+	h := NewHistogram()
 	h.EnableExemplars()
 	const workers = 8
 	var wg sync.WaitGroup

@@ -79,9 +79,8 @@ func bucketUpper(i int) int64 {
 // Observe is safe for any number of concurrent callers (three atomic
 // adds, no locks); Snapshot is safe concurrently with Observe.
 type Histogram struct {
-	name, help string
-	count      atomic.Int64
-	sum        atomic.Int64
+	count atomic.Int64
+	sum   atomic.Int64
 	// exemplars, when attached via EnableExemplars, retains per-region
 	// (value, request ID) pairs on the ObserveExemplarNS path. Nil (the
 	// default) leaves every Observe variant untouched.
@@ -89,15 +88,9 @@ type Histogram struct {
 	buckets   [numBuckets]atomic.Int64
 }
 
-// NewHistogram returns an empty histogram. name should be a valid
-// Prometheus metric name (the exposition layer appends _bucket, _sum
-// and _count to it); help is its exposition HELP text.
-func NewHistogram(name, help string) *Histogram {
-	return &Histogram{name: name, help: help}
-}
-
-// Name returns the histogram's metric name.
-func (h *Histogram) Name() string { return h.name }
+// NewHistogram returns an empty histogram. It has no name: the
+// exposition names each series where it writes it (PromWriter.Histogram).
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one duration. Negative durations clamp to zero.
 // No-op on a nil receiver, so disabled telemetry paths need no guard.
@@ -168,8 +161,6 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 	if h == nil {
 		return s
 	}
-	s.Name = h.name
-	s.Help = h.help
 	s.Count = h.count.Load()
 	s.SumNS = h.sum.Load()
 	s.Counts = make([]int64, numBuckets)
@@ -184,8 +175,6 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 // snapshots from several histograms (or several processes) is exact —
 // all histograms share the same bucket boundaries.
 type HistogramSnapshot struct {
-	Name   string
-	Help   string
 	Count  int64
 	SumNS  int64
 	Counts []int64 // per-bucket counts, len numBuckets (nil = empty)
@@ -228,17 +217,17 @@ func (s *HistogramSnapshot) Quantile(q float64) int64 {
 	return bucketUpper(numBuckets - 1)
 }
 
-// MeanNS returns the mean observation in nanoseconds.
-func (s *HistogramSnapshot) MeanNS() float64 {
+// meanNS returns the mean observation in nanoseconds.
+func (s *HistogramSnapshot) meanNS() float64 {
 	if s == nil || s.Count == 0 {
 		return 0
 	}
 	return float64(s.SumNS) / float64(s.Count)
 }
 
-// MaxNS returns the upper bound of the highest occupied bucket — an
+// maxNS returns the upper bound of the highest occupied bucket — an
 // estimate of the maximum observation within the bucket scheme's error.
-func (s *HistogramSnapshot) MaxNS() int64 {
+func (s *HistogramSnapshot) maxNS() int64 {
 	if s == nil {
 		return 0
 	}
@@ -291,12 +280,12 @@ func (s *HistogramSnapshot) Summary() QuantileSummary {
 	const ms = 1e6
 	return QuantileSummary{
 		Count:  s.Count,
-		MeanMS: s.MeanNS() / ms,
+		MeanMS: s.meanNS() / ms,
 		P50MS:  float64(s.Quantile(0.50)) / ms,
 		P90MS:  float64(s.Quantile(0.90)) / ms,
 		P95MS:  float64(s.Quantile(0.95)) / ms,
 		P99MS:  float64(s.Quantile(0.99)) / ms,
 		P999MS: float64(s.Quantile(0.999)) / ms,
-		MaxMS:  float64(s.MaxNS()) / ms,
+		MaxMS:  float64(s.maxNS()) / ms,
 	}
 }

@@ -41,7 +41,7 @@ func TestBucketRelativeError(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram("test_seconds", "test")
+	h := NewHistogram()
 	// A known uniform distribution: 1..1000 µs.
 	for i := 1; i <= 1000; i++ {
 		h.ObserveNS(int64(i) * 1000)
@@ -63,10 +63,10 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("p%g = %d ns, want %d within %.2f%%", c.q*100, got, c.want, 100.0/subCount)
 		}
 	}
-	if mean := s.MeanNS(); math.Abs(mean-500_500) > 1 {
+	if mean := s.meanNS(); math.Abs(mean-500_500) > 1 {
 		t.Errorf("mean %.1f, want 500500", mean)
 	}
-	if max := s.MaxNS(); max < 1_000_000 || float64(max) > 1_000_000*(1+1.0/subCount)+1 {
+	if max := s.maxNS(); max < 1_000_000 || float64(max) > 1_000_000*(1+1.0/subCount)+1 {
 		t.Errorf("max %d, want ~1000000", max)
 	}
 }
@@ -78,14 +78,14 @@ func TestHistogramEdge(t *testing.T) {
 		t.Fatal("nil histogram counted")
 	}
 	s := nilH.Snapshot()
-	if s.Quantile(0.5) != 0 || s.MeanNS() != 0 || s.MaxNS() != 0 {
+	if s.Quantile(0.5) != 0 || s.meanNS() != 0 || s.maxNS() != 0 {
 		t.Fatal("nil snapshot not empty")
 	}
-	if nilH.Quantile(0.5) != 0 || NewHistogram("empty", "").Quantile(0.5) != 0 {
+	if nilH.Quantile(0.5) != 0 || NewHistogram().Quantile(0.5) != 0 {
 		t.Fatal("quantile of no observations is not 0")
 	}
 
-	h := NewHistogram("edge", "")
+	h := NewHistogram()
 	h.ObserveNS(-5) // clamps to 0
 	h.ObserveNS(0)
 	h.ObserveNS(math.MaxInt64)
@@ -102,8 +102,8 @@ func TestHistogramEdge(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram("a", "")
-	b := NewHistogram("b", "")
+	a := NewHistogram()
+	b := NewHistogram()
 	for i := 0; i < 500; i++ {
 		a.ObserveNS(1000)
 		b.ObserveNS(9000)
@@ -130,7 +130,7 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestHistogramConcurrent(t *testing.T) {
 	// Concurrent Observe + Snapshot under -race; totals must balance.
-	h := NewHistogram("conc", "")
+	h := NewHistogram()
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -169,7 +169,7 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestCumulativeLE(t *testing.T) {
-	h := NewHistogram("le", "")
+	h := NewHistogram()
 	for i := 0; i < 100; i++ {
 		h.ObserveNS(1 << 12) // 4096
 	}
@@ -189,7 +189,7 @@ func TestCumulativeLE(t *testing.T) {
 }
 
 func TestQuantileSummary(t *testing.T) {
-	h := NewHistogram("sum", "")
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -212,7 +212,7 @@ func TestQuantileSummary(t *testing.T) {
 // must stay a few atomic adds so per-frame and per-request observation
 // never shows up in the overhead budget.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram("bench", "")
+	h := NewHistogram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ObserveNS(int64(i) * 997)
@@ -220,7 +220,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkHistogramObserveParallel(b *testing.B) {
-	h := NewHistogram("bench", "")
+	h := NewHistogram()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		v := int64(1)

@@ -36,8 +36,8 @@ type PromWriter struct {
 	err  error
 }
 
-// NewPromWriter returns a writer targeting w.
-func NewPromWriter(w io.Writer) *PromWriter {
+// newPromWriter returns a writer targeting w.
+func newPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, seen: make(map[string]bool)}
 }
 
@@ -121,8 +121,6 @@ func (pw *PromWriter) Gauge(name, help string, v float64, labels ...string) {
 // Histogram emits one histogram series (cumulative _bucket lines over
 // the package le-ladder plus +Inf, then _sum and _count) from a
 // snapshot. Durations are exposed in seconds, the Prometheus base unit.
-// The snapshot's Name is ignored in favour of name so one logical
-// metric can carry several label sets.
 func (pw *PromWriter) Histogram(name, help string, s *HistogramSnapshot, labels ...string) {
 	pw.header(name, help, "histogram")
 	for _, b := range promBoundsNS {

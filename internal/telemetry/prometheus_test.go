@@ -10,12 +10,12 @@ import (
 )
 
 func TestPromWriterFormat(t *testing.T) {
-	h := NewHistogram("demo_request_duration_seconds", "request latency")
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
 	var b strings.Builder
-	pw := NewPromWriter(&b)
+	pw := newPromWriter(&b)
 	pw.Counter("demo_requests_total", "requests served", 100, "path", "/render")
 	pw.Counter("demo_requests_total", "requests served", 7, "path", "/healthz")
 	pw.Gauge("demo_in_flight", "in-flight requests", 2)
@@ -51,7 +51,7 @@ func TestPromWriterFormat(t *testing.T) {
 }
 
 func TestPromWriterErrSticks(t *testing.T) {
-	pw := NewPromWriter(failWriter{})
+	pw := newPromWriter(failWriter{})
 	pw.Counter("x_total", "x", 1)
 	if pw.Err() == nil {
 		t.Fatal("expected sticky error")

@@ -33,15 +33,15 @@ func checkSummarySane(t *testing.T, s QuantileSummary) {
 }
 
 func TestQuantileEmptyHistogram(t *testing.T) {
-	h := NewHistogram("empty", "")
+	h := NewHistogram()
 	s := h.Snapshot()
 	if q := s.Quantile(0.99); q != 0 {
 		t.Fatalf("empty p99 = %d, want 0", q)
 	}
-	if m := s.MeanNS(); m != 0 {
+	if m := s.meanNS(); m != 0 {
 		t.Fatalf("empty mean = %g, want 0", m)
 	}
-	if m := s.MaxNS(); m != 0 {
+	if m := s.maxNS(); m != 0 {
 		t.Fatalf("empty max = %d, want 0", m)
 	}
 	checkSummarySane(t, s.Summary())
@@ -55,7 +55,7 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 }
 
 func TestQuantileSingleSample(t *testing.T) {
-	h := NewHistogram("one", "")
+	h := NewHistogram()
 	h.ObserveNS(1_000_000) // 1ms
 	s := h.Snapshot()
 	// Every quantile of a single observation is that observation's
@@ -70,7 +70,7 @@ func TestQuantileSingleSample(t *testing.T) {
 }
 
 func TestQuantileAllSamplesOneBucket(t *testing.T) {
-	h := NewHistogram("uni", "")
+	h := NewHistogram()
 	for i := 0; i < 1000; i++ {
 		h.ObserveNS(4096) // exact bucket boundary
 	}
@@ -88,8 +88,8 @@ func TestQuantileAllSamplesOneBucket(t *testing.T) {
 }
 
 func TestQuantileMergeDisjoint(t *testing.T) {
-	lo := NewHistogram("lo", "")
-	hi := NewHistogram("hi", "")
+	lo := NewHistogram()
+	hi := NewHistogram()
 	for i := 0; i < 900; i++ {
 		lo.ObserveNS(1_000) // 1µs
 	}
@@ -110,7 +110,7 @@ func TestQuantileMergeDisjoint(t *testing.T) {
 	checkSummarySane(t, m.Summary())
 
 	// Merging into an empty snapshot (nil Counts) works too.
-	empty := NewHistogram("e", "").Snapshot()
+	empty := NewHistogram().Snapshot()
 	empty.Merge(hi.Snapshot())
 	if empty.Count != 100 || empty.Quantile(0.5) < 900_000_000 {
 		t.Fatalf("merge into empty: count %d p50 %d", empty.Count, empty.Quantile(0.5))
@@ -119,7 +119,7 @@ func TestQuantileMergeDisjoint(t *testing.T) {
 
 	// Merging an empty snapshot is a no-op.
 	before := m.Count
-	m.Merge(NewHistogram("e2", "").Snapshot())
+	m.Merge(NewHistogram().Snapshot())
 	m.Merge(nil)
 	if m.Count != before {
 		t.Fatalf("merging empty changed count: %d -> %d", before, m.Count)
@@ -131,11 +131,11 @@ func TestQuantileMergeDisjoint(t *testing.T) {
 // scrape must parse whatever state the histograms are in.
 func TestPromExpositionEdgeCases(t *testing.T) {
 	var sb strings.Builder
-	pw := NewPromWriter(&sb)
-	empty := NewHistogram("edge_empty_seconds", "Empty histogram.")
-	one := NewHistogram("edge_one_seconds", "One sample.")
+	pw := newPromWriter(&sb)
+	empty := NewHistogram()
+	one := NewHistogram()
 	one.ObserveNS(5_000_000)
-	merged := NewHistogram("edge_merged_seconds", "Merged snapshot.")
+	merged := NewHistogram()
 	snap := merged.Snapshot()
 	snap.Merge(one.Snapshot())
 

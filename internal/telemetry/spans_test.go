@@ -116,50 +116,30 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-func TestTracerAmend(t *testing.T) {
+// TestTracerCapture: Capture copies a recorder's spans and drop count
+// into the trace it returns and recycles the recorder; a nil tracer (traces
+// not retained) returns nothing and retains nothing.
+func TestTracerCapture(t *testing.T) {
 	tr := NewTracer(8, 2, 2)
-	tr.Add(mkTrace(1, 0, 1000))
-	tr.Amend(1, 503, 5000, Span{Name: "encode", Cat: CatRequest, Worker: -1, StartNS: 1000, DurNS: 4000})
-	x := tr.Find(1)
-	if x.Status != 503 || x.DurNS != 5000 || len(x.Spans) != 1 || x.Spans[0].Name != "encode" {
-		t.Fatalf("amend not applied: %+v", x)
+	fs := GetSpans()
+	at := time.Now()
+	fs.Record(0, "warp", CatBusy, at, time.Millisecond)
+	fs.Record(-1, "encode", CatRequest, at, 2*time.Millisecond)
+	got := tr.Capture(fs, Trace{ID: 9, Label: "x", StartNS: SinceEpoch(at)})
+	if got == nil || got.ID != 9 || got.Label != "x" || len(got.Spans) != 2 || got.Dropped != 0 {
+		t.Fatalf("captured %+v", got)
 	}
-	// Shorter duration must not shrink the trace.
-	tr.Amend(1, 200, 10)
-	if x.DurNS != 5000 {
-		t.Fatalf("amend shrank duration to %d", x.DurNS)
+	if got.Spans[0].Name != "warp" || got.Spans[0].StartNS != got.StartNS || got.Spans[1].DurNS != 2e6 {
+		t.Fatalf("spans not on the trace's timeline: %+v", got.Spans)
 	}
-	tr.Amend(999, 200, 1) // unknown id: no-op, no panic
+
 	var nilT *Tracer
+	if nilT.Capture(GetSpans(), Trace{ID: 1}) != nil {
+		t.Fatal("nil tracer captured a trace")
+	}
 	nilT.Add(mkTrace(2, 0, 1))
-	nilT.Amend(2, 200, 1)
 	if nilT.Traces() != nil {
 		t.Fatal("nil tracer retained traces")
-	}
-}
-
-func TestTracerIDsUnique(t *testing.T) {
-	tr := NewTracer(0, 0, 0)
-	const n = 1000
-	ids := make(chan uint64, n)
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < n/10; j++ {
-				ids <- tr.NextID()
-			}
-		}()
-	}
-	wg.Wait()
-	close(ids)
-	seen := map[uint64]bool{}
-	for id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
-		}
-		seen[id] = true
 	}
 }
 
@@ -293,7 +273,7 @@ func TestTimeline(t *testing.T) {
 func TestTracerRecyclesSpanSlices(t *testing.T) {
 	tr := NewTracer(4, 1, 1) // ring 4, head 1, slow 1
 	add := func(id uint64, durNS int64) {
-		spans := tr.SpanBuf(3)
+		spans := tr.spanBuf(3)
 		for i := 0; i < 3; i++ {
 			spans = append(spans, Span{Name: "s", Worker: i, StartNS: int64(id), DurNS: int64(id)})
 		}

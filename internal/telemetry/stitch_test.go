@@ -113,7 +113,7 @@ func TestWriteStitchedChromeTrace(t *testing.T) {
 
 // TestFindAllSharedID pins the multi-attempt retention contract: one
 // backend serving several attempts of a fleet request retains one trace
-// per attempt under the shared ID, and FindAll returns them in attempt
+// per attempt under the shared ID, and findAll returns them in attempt
 // order even when retention order differs.
 func TestFindAllSharedID(t *testing.T) {
 	tr := NewTracer(16, 0, 0)
@@ -121,13 +121,13 @@ func TestFindAllSharedID(t *testing.T) {
 	tr.Add(&Trace{ID: 9, Attempt: 0, StartNS: 100})
 	tr.Add(&Trace{ID: 5, Attempt: 0, StartNS: 50})
 	tr.Add(&Trace{ID: 9, Attempt: 1, StartNS: 200})
-	got := tr.FindAll(9)
+	got := tr.findAll(9)
 	if len(got) != 3 {
-		t.Fatalf("FindAll returned %d traces, want 3", len(got))
+		t.Fatalf("findAll returned %d traces, want 3", len(got))
 	}
 	for i, want := range []int{0, 1, 2} {
 		if got[i].Attempt != want {
-			t.Fatalf("FindAll[%d].Attempt = %d, want %d", i, got[i].Attempt, want)
+			t.Fatalf("findAll[%d].Attempt = %d, want %d", i, got[i].Attempt, want)
 		}
 	}
 }

@@ -225,8 +225,8 @@ func TestModeZeroAllocs(t *testing.T) {
 // behind a nil check) nor enabled (where capture is a fixed-array
 // seqlock write).
 func TestExemplarPathZeroAllocs(t *testing.T) {
-	plain := telemetry.NewHistogram("guard_plain_seconds", "")
-	enabled := telemetry.NewHistogram("guard_exemplar_seconds", "")
+	plain := telemetry.NewHistogram()
+	enabled := telemetry.NewHistogram()
 	enabled.EnableExemplars()
 	var v int64 = 1
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -255,7 +255,7 @@ func TestExemplarPathZeroAllocs(t *testing.T) {
 // allocates nothing. What it costs in time belongs to `go run ./bench`
 // (telemetry.span_overhead_frac on the service workloads).
 func TestExemplarObserveOverheadGuard(t *testing.T) {
-	h := telemetry.NewHistogram("guard_exemplar_capture_seconds", "")
+	h := telemetry.NewHistogram()
 	h.EnableExemplars()
 	for v := int64(time.Millisecond); v < int64(time.Millisecond)+100*977; v += 977 {
 		h.ObserveExemplarNS(v, uint64(v)) // each is the slowest so far
