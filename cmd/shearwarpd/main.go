@@ -10,7 +10,11 @@
 //	GET /readyz         (503 once graceful shutdown begins — fleet routability)
 //	GET /metrics        (JSON; Prometheus text under Accept: text/plain)
 //	GET /debug/spans    (Chrome trace-event JSON; ?view=timeline for text bars)
+//	GET /debug/trace    (alias of /debug/spans, so gateway trace URLs resolve here too)
 //	GET /debug/latency  (latency quantile digests as JSON)
+//	GET /debug/slo      (SLO compliance, error budgets and burn-rate alerts as JSON)
+//	GET /debug/dash     (self-contained HTML ops dashboard)
+//	GET /debug/profile?seconds=2[&during=render]  (pprof CPU profile)
 //
 // With no -in the service registers the two synthetic phantoms under the
 // names "mri" and "ct"; with -in FILE it registers that volume under the
