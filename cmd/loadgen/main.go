@@ -11,7 +11,9 @@
 // The volume catalogue is discovered from /healthz unless -volumes
 // names an explicit comma-separated, popularity-ranked list. With
 // -strict, any 5xx response or transport error makes the exit status
-// non-zero (for CI smoke jobs).
+// non-zero (for CI smoke jobs). Every run flag is declared, with its
+// shipped default, by loadgen.Config.RegisterFlags; this command adds
+// only -out and -strict.
 package main
 
 import (
@@ -23,62 +25,19 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"shearwarp/internal/loadgen"
 )
 
-// targetList collects repeated -target flags.
-type targetList []string
-
-func (t *targetList) String() string { return strings.Join(*t, ",") }
-func (t *targetList) Set(v string) error {
-	for _, s := range strings.Split(v, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			*t = append(*t, strings.TrimRight(s, "/"))
-		}
-	}
-	return nil
-}
-
 func main() {
-	url := flag.String("url", "", "shearwarpd base URL (default http://localhost:8080 when no -target given)")
-	var targets targetList
-	flag.Var(&targets, "target", "service base URL; repeat (or comma-separate) to round-robin arrivals across replicas/gateways")
-	retryAfterCap := flag.Duration("retry-after-cap", 2*time.Second, "longest honored Retry-After backoff on shed responses (negative = ignore hints)")
-	rps := flag.Float64("rps", 10, "target request rate (open loop)")
-	duration := flag.Duration("duration", 15*time.Second, "how long to dispatch requests")
-	concurrency := flag.Int("concurrency", 0, "max in-flight requests (0 = 4*rps, min 8)")
-	skew := flag.Float64("skew", 1.2, "Zipf skew over the volume catalogue (> 1)")
-	volumes := flag.String("volumes", "", "comma-separated popularity-ranked volumes (empty = discover from /healthz)")
-	alg := flag.String("alg", "", "render algorithm to request (empty = service default)")
-	format := flag.String("format", "ppm", "frame format to request")
-	seed := flag.Int64("seed", 1, "RNG seed for the tenant/viewpoint sequence")
+	var cfg loadgen.Config
+	cfg.RegisterFlags(flag.CommandLine)
 	out := flag.String("out", "BENCH_load.json", "report path ('-' = stdout only)")
 	strict := flag.Bool("strict", false, "exit non-zero on any 5xx or transport error")
 	flag.Parse()
 
-	if *url == "" && len(targets) == 0 {
-		*url = "http://localhost:8080"
-	}
-	cfg := loadgen.Config{
-		BaseURL:       strings.TrimRight(*url, "/"),
-		Targets:       targets,
-		RPS:           *rps,
-		Duration:      *duration,
-		Concurrency:   *concurrency,
-		Skew:          *skew,
-		Algorithm:     *alg,
-		Format:        *format,
-		Seed:          *seed,
-		RetryAfterCap: *retryAfterCap,
-	}
-	if *volumes != "" {
-		for _, v := range strings.Split(*volumes, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				cfg.Volumes = append(cfg.Volumes, v)
-			}
-		}
+	if cfg.BaseURL == "" && len(cfg.Targets) == 0 {
+		cfg.BaseURL = "http://localhost:8080"
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -10,7 +10,7 @@
 //	shearwarp -mode iso -iso 140 -alg new -procs 8 -out surface.png
 //	shearwarp -in brain.vol -alg serial -frames 24 -step 5
 //	shearwarp -alg old -procs 8 -frames 16 -stats -statsjson phases.json
-//	shearwarp -alg new -frames 100 -trace trace.out -metrics-addr :8080
+//	shearwarp -alg new -frames 100 -trace trace.out -spans spans.json
 //
 // -procs defaults to 0, which means GOMAXPROCS — one worker per core the
 // scheduler will use, as in shearwarpd; the per-frame line prints the
@@ -19,11 +19,8 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -42,8 +39,9 @@ func main() {
 	var vf cli.VolumeFlags
 	vf.Register(flag.CommandLine)
 	algName := flag.String("alg", "new", "algorithm: serial | old | new | raycast")
-	var mf cli.ModeFlag
-	mf.Register(flag.CommandLine)
+	var mode shearwarp.Mode
+	var isoThr uint8
+	cli.RegisterMode(flag.CommandLine, &mode, &isoThr)
 	procs := flag.Int("procs", 0, "workers for the parallel algorithms (0 = GOMAXPROCS)")
 	yaw := flag.Float64("yaw", 30, "yaw in degrees")
 	pitch := flag.Float64("pitch", 15, "pitch in degrees")
@@ -55,7 +53,6 @@ func main() {
 	traceFile := flag.String("trace", "", "write a runtime/trace of the render loop to this file")
 	statsFlag := flag.Bool("stats", false, "print a per-worker phase breakdown table after each frame")
 	statsJSON := flag.String("statsjson", "", "write the per-frame phase breakdowns as JSON to this file (\"-\" = stdout)")
-	metricsAddr := flag.String("metrics-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address during the run")
 	spansFile := flag.String("spans", "", "write per-frame worker span traces as Chrome trace-event JSON to this file (load in chrome://tracing or ui.perfetto.dev)")
 	flag.Parse()
 
@@ -63,18 +60,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mode, isoThr, err := mf.Mode()
-	if err != nil {
-		fatal(err)
-	}
 	if *procs <= 0 {
 		*procs = runtime.GOMAXPROCS(0)
 	}
-	collect := *statsFlag || *statsJSON != "" || *metricsAddr != ""
+	collect := *statsFlag || *statsJSON != ""
 	cfg := shearwarp.Config{Algorithm: alg, Procs: *procs,
 		Mode: mode, IsoThreshold: isoThr, CollectStats: collect}
 	if (collect || *spansFile != "") && alg == shearwarp.RayCast {
-		fatal(fmt.Errorf("-stats/-statsjson/-metrics-addr/-spans need a shear-warp algorithm (serial, old, new)"))
+		fatal(fmt.Errorf("-stats/-statsjson/-spans need a shear-warp algorithm (serial, old, new)"))
 	}
 
 	v, tf, err := vf.Load()
@@ -115,19 +108,6 @@ func main() {
 		defer rtrace.Stop()
 	}
 
-	// The metrics endpoint publishes the cumulative phase/counter totals
-	// under "shearwarp" in /debug/vars, next to the stock expvar and pprof
-	// handlers — scrapeable while a long animation renders.
-	var cum perf.Cumulative
-	if *metricsAddr != "" {
-		expvar.Publish("shearwarp", expvar.Func(func() any { return cum.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "shearwarp: metrics server:", err)
-			}
-		}()
-	}
-
 	// Span tracing shares one epoch across the whole animation, so the
 	// exported Chrome trace lays the frames out end to end on one timeline
 	// (one "process" per frame, one row per worker).
@@ -153,7 +133,6 @@ func main() {
 			float64(time.Since(t0).Microseconds())/1000, info.Samples, *procs, info.Steals, info.Profiled)
 		if bd := r.LastBreakdown(); bd != nil {
 			fb := bd.Frame()
-			cum.Add(fb)
 			if *statsJSON != "" {
 				// The renderer reuses its breakdown; keep a copy.
 				c := *fb

@@ -22,6 +22,10 @@
 //	GET /debug/trace  (?id=N: cross-process stitched fleet trace)
 //	GET /debug/slo    (fleet-level SLO burn-rate state over merged scrapes)
 //
+// Every gateway flag is declared, with its shipped default, by
+// gateway.Config.RegisterFlags; this command adds only -addr. -slo ""
+// turns the fleet SLO engine off, as on shearwarpd.
+//
 // Usage:
 //
 //	shearwarpd -addr :8081 & shearwarpd -addr :8082 &
@@ -30,135 +34,31 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
-	"shearwarp/internal/faultinject"
+	"shearwarp/internal/cli"
 	"shearwarp/internal/gateway"
-	"shearwarp/internal/slo"
-	"shearwarp/internal/telemetry"
 )
 
 func main() {
+	var cfg gateway.Config
+	cfg.RegisterFlags(flag.CommandLine)
 	addr := flag.String("addr", ":8080", "listen address")
-	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
-	replicas := flag.Int("replicas", 64, "virtual ring nodes per backend")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor c: skip a backend past ceil(c*(total+1)/n) in-flight")
-	healthInterval := flag.Duration("health-interval", time.Second, "backend /readyz poll period")
-	healthTimeout := flag.Duration("health-timeout", time.Second, "per-probe timeout")
-	failThreshold := flag.Int("fail-threshold", 2, "consecutive probe failures before a backend is unroutable")
-	riseThreshold := flag.Int("rise-threshold", 2, "consecutive probe successes before a backend is routable again")
-	maxAttempts := flag.Int("max-attempts", 3, "total attempts per request (first try + retries + hedges)")
-	retryBase := flag.Duration("retry-base", 10*time.Millisecond, "backoff base before the second attempt")
-	retryMax := flag.Duration("retry-max", 250*time.Millisecond, "backoff cap")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "attempt-latency quantile that arms a hedged attempt (<0 disables hedging)")
-	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "learned hedge delay floor")
-	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "learned hedge delay ceiling (used until warmed up)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failures that open a backend's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open circuit cooldown before the half-open probe")
-	budget := flag.Duration("budget", 30*time.Second, "default per-request deadline when the client sends none")
-	traceRing := flag.Int("trace-ring", 0, "retained gateway traces for /debug/spans and /debug/trace (0 = default ring, <0 disables retention)")
-	fleetInterval := flag.Duration("fleet-interval", 10*time.Second, "backend /metrics scrape+merge period (<0 disables fleet aggregation)")
-	sloSpec := flag.String("slo", "", "fleet-level objectives over merged scrapes, e.g. 'latency@/render:le=250ms:target=99%' (empty = built-in defaults)")
-	faultSpec := flag.String("fault-spec", "", "inject deterministic transport faults toward the backends, e.g. 'kill@transport:n=7;status@transport:s=503:n=13:c=3' (see internal/faultinject)")
-	logFormat := flag.String("log-format", "", "structured log format: text | json (empty = logging off)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	flag.Parse()
 
-	if *backends == "" {
-		fatal(errors.New("-backends is required (comma-separated shearwarpd base URLs)"))
-	}
-	var urls []string
-	for _, b := range strings.Split(*backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			urls = append(urls, b)
-		}
-	}
-
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fatal(fmt.Errorf("bad -log-level %q: %w", *logLevel, err))
-	}
-	logger := telemetry.NewLogger(os.Stderr, *logFormat, level)
-
-	var objectives []slo.Objective
-	if *sloSpec != "" {
-		var err error
-		objectives, err = slo.Parse(*sloSpec)
-		if err != nil {
-			fatal(fmt.Errorf("bad -slo: %w", err))
-		}
-	}
-
-	var transport http.RoundTripper
-	if *faultSpec != "" {
-		faults, err := faultinject.Parse(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "shearwarpgw: FAULT INJECTION ACTIVE: %s\n", *faultSpec)
-		transport = faultinject.NewTransport(faults, nil)
-	}
-
-	gw, err := gateway.New(gateway.Config{
-		Backends:        urls,
-		Replicas:        *replicas,
-		LoadFactor:      *loadFactor,
-		HealthInterval:  *healthInterval,
-		HealthTimeout:   *healthTimeout,
-		FailThreshold:   *failThreshold,
-		RiseThreshold:   *riseThreshold,
-		MaxAttempts:     *maxAttempts,
-		RetryBaseDelay:  *retryBase,
-		RetryMaxDelay:   *retryMax,
-		HedgeQuantile:   *hedgeQuantile,
-		HedgeMin:        *hedgeMin,
-		HedgeMax:        *hedgeMax,
-		BreakerFailures: *breakerFailures,
-		BreakerCooldown: *breakerCooldown,
-		DefaultBudget:   *budget,
-		TraceRing:       *traceRing,
-		FleetInterval:   *fleetInterval,
-		SLO:             objectives,
-		Transport:       transport,
-		Logger:          logger,
-	})
+	gw, err := gateway.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: gw.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("shearwarpgw: routing %d backends on %s (attempts %d, hedge q%.2f, breaker %d/%s)\n",
-		len(urls), *addr, *maxAttempts, *hedgeQuantile, *breakerFailures, *breakerCooldown)
-
-	select {
-	case err := <-errc:
+		len(cfg.Backends), *addr, cfg.MaxAttempts, cfg.HedgeQuantile, cfg.BreakerFailures, cfg.BreakerCooldown)
+	// The same two-phase drain as the backends, then stop the health loop.
+	if err := cli.Serve("shearwarpgw", &http.Server{Addr: *addr, Handler: gw.Handler()}, gw.BeginDrain); err != nil {
 		fatal(err)
-	case <-ctx.Done():
-	}
-
-	// Same two-phase drain as the backends: flip /readyz unready so
-	// upstream load balancers stop routing here, then stop accepting,
-	// drain in-flight proxied requests, and stop the health loop.
-	fmt.Println("shearwarpgw: shutting down")
-	gw.BeginDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "shearwarpgw: shutdown:", err)
 	}
 	gw.Close()
 }

@@ -1,7 +1,6 @@
-// Package cli holds flag plumbing shared by the commands in cmd/: both
-// shearwarp (one-shot renders) and shearwarpd (the render service) select
-// their input volume the same way, so the flags and their resolution live
-// here once.
+// Package cli holds plumbing shared by the commands in cmd/: volume and
+// mode selection (shearwarp, shearwarpd) and the daemons' serve-and-drain
+// loop.
 package cli
 
 import (
@@ -9,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"shearwarp"
@@ -58,35 +58,25 @@ func (vf *VolumeFlags) Load() (*vol.Volume, shearwarp.Transfer, error) {
 	return vol.MRIBrain(vf.Size), shearwarp.TransferMRI, nil
 }
 
-// ModeFlag is the render-mode selection shared by the commands: shearwarp
-// renders one-shot frames in the chosen mode, shearwarpd uses it as the
-// default for requests that do not pass mode=; both must reject a typo
-// with the same typed error before doing any work.
-type ModeFlag struct {
-	Name string
-	Iso  int
-}
-
-// Register declares the -mode and -iso flags on fs.
-func (mf *ModeFlag) Register(fs *flag.FlagSet) {
-	fs.StringVar(&mf.Name, "mode", "composite",
-		"render mode: composite | mip | iso")
-	fs.IntVar(&mf.Iso, "iso", 0,
-		"isosurface density threshold 1-255 (0 = default 128; iso mode only)")
-}
-
-// Mode resolves the flags. Unknown mode names surface the renderer's typed
-// *shearwarp.UnknownModeError so commands can exit 2 with its message; an
-// out-of-range threshold is rejected the same way a bad flag value is.
-func (mf *ModeFlag) Mode() (shearwarp.Mode, uint8, error) {
-	m, err := shearwarp.ParseMode(mf.Name)
-	if err != nil {
-		return 0, 0, err
-	}
-	if mf.Iso < 0 || mf.Iso > 255 {
-		return 0, 0, fmt.Errorf("bad -iso %d: threshold must be in 0-255", mf.Iso)
-	}
-	return m, uint8(mf.Iso), nil
+// RegisterMode declares -mode and -iso on fs, bound straight into mode
+// and iso: shearwarp renders one-shot frames in the chosen mode,
+// shearwarpd uses it as the default for requests that do not pass mode=.
+// A typo'd mode fails Parse with the message of the renderer's
+// *shearwarp.UnknownModeError.
+func RegisterMode(fs *flag.FlagSet, mode *shearwarp.Mode, iso *uint8) {
+	fs.Func("mode", "render mode: composite | mip | iso", func(s string) (err error) {
+		*mode, err = shearwarp.ParseMode(s)
+		return err
+	})
+	fs.Lookup("mode").DefValue = mode.String()
+	fs.Func("iso", "isosurface density threshold 1-255 (0 = default 128; iso mode only)", func(s string) error {
+		n, err := strconv.ParseUint(s, 10, 8)
+		if err != nil {
+			return fmt.Errorf("threshold must be in 0-255")
+		}
+		*iso = uint8(n)
+		return nil
+	})
 }
 
 // Name returns a short name for the selected volume: the input file's

@@ -33,8 +33,11 @@
 package faultinject
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -395,4 +398,19 @@ func FromSeed(seed int64, workers int) *Injector {
 		rules[i] = r
 	}
 	return New(rules...)
+}
+
+// FlagVar declares -fault-spec on fs. A spec with rules is announced on
+// stderr, so a chaos configuration never runs unnoticed, and handed to
+// bind.
+func FlagVar(fs *flag.FlagSet, usage string, bind func(*Injector)) {
+	fs.Func("fault-spec", usage, func(spec string) error {
+		in, err := Parse(spec)
+		if err != nil || in == nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "%s: FAULT INJECTION ACTIVE: %s\n", filepath.Base(fs.Name()), spec)
+		bind(in)
+		return nil
+	})
 }

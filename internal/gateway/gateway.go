@@ -37,6 +37,7 @@ package gateway
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -47,12 +48,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shearwarp/internal/faultinject"
 	"shearwarp/internal/slo"
 	"shearwarp/internal/telemetry"
 )
 
 // Config tunes the gateway. Backends is required; the zero value of
-// everything else gets defaults from normalize.
+// everything else gets the shipped defaults from normalize, and
+// RegisterFlags binds shearwarpgw's flags to the same ones.
 type Config struct {
 	Backends []string // backend base URLs, e.g. "http://10.0.0.1:8080"
 
@@ -116,9 +119,33 @@ type Config struct {
 	// negative disables both).
 	FleetInterval time.Duration
 	// SLO lists the fleet-level objectives the gateway evaluates over
-	// the merged backend state. Nil runs slo.DefaultSpec; objectives
-	// naming endpoints other than /render are skipped with a log.
+	// the merged backend state. Nil runs slo.DefaultSpec and an empty
+	// list runs no engine; objectives naming endpoints other than
+	// /render are skipped with a log.
 	SLO []slo.Objective
+}
+
+// defaults is the shipped configuration, stated once: normalize fills
+// zero fields from it and RegisterFlags shows it as the flag defaults.
+var defaults = Config{
+	Replicas:        64,
+	LoadFactor:      1.25,
+	HealthInterval:  time.Second,
+	HealthTimeout:   time.Second,
+	FailThreshold:   2,
+	RiseThreshold:   2,
+	MaxAttempts:     3,
+	RetryBaseDelay:  10 * time.Millisecond,
+	RetryMaxDelay:   250 * time.Millisecond,
+	HedgeQuantile:   0.95,
+	HedgeMin:        10 * time.Millisecond,
+	HedgeMax:        2 * time.Second,
+	BreakerFailures: 5,
+	BreakerCooldown: 5 * time.Second,
+	DefaultBudget:   30 * time.Second,
+	MaxBodyBytes:    64 << 20,
+	Seed:            1,
+	FleetInterval:   10 * time.Second,
 }
 
 func (c *Config) normalize() error {
@@ -132,61 +159,75 @@ func (c *Config) normalize() error {
 		}
 		c.Backends[i] = b
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
 	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.RiseThreshold <= 0 {
-		c.RiseThreshold = 2
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 10 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 250 * time.Millisecond
+		c.LoadFactor = defaults.LoadFactor
 	}
 	if c.HedgeQuantile == 0 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 10 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.DefaultBudget <= 0 {
-		c.DefaultBudget = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
+		c.HedgeQuantile = defaults.HedgeQuantile
 	}
 	if c.FleetInterval == 0 {
-		c.FleetInterval = 10 * time.Second
+		c.FleetInterval = defaults.FleetInterval
+	}
+	orDefault(&c.Replicas, defaults.Replicas)
+	orDefault(&c.HealthInterval, defaults.HealthInterval)
+	orDefault(&c.HealthTimeout, defaults.HealthTimeout)
+	orDefault(&c.FailThreshold, defaults.FailThreshold)
+	orDefault(&c.RiseThreshold, defaults.RiseThreshold)
+	orDefault(&c.MaxAttempts, defaults.MaxAttempts)
+	orDefault(&c.RetryBaseDelay, defaults.RetryBaseDelay)
+	orDefault(&c.RetryMaxDelay, defaults.RetryMaxDelay)
+	orDefault(&c.HedgeMin, defaults.HedgeMin)
+	orDefault(&c.HedgeMax, defaults.HedgeMax)
+	orDefault(&c.BreakerFailures, defaults.BreakerFailures)
+	orDefault(&c.BreakerCooldown, defaults.BreakerCooldown)
+	orDefault(&c.DefaultBudget, defaults.DefaultBudget)
+	orDefault(&c.MaxBodyBytes, defaults.MaxBodyBytes)
+	if c.Seed == 0 {
+		c.Seed = defaults.Seed
 	}
 	return nil
+}
+
+// orDefault replaces a non-positive *v with d.
+func orDefault[T int | int64 | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
+}
+
+// RegisterFlags declares shearwarpgw's gateway flags on fs, each bound
+// straight into c with its default read from defaults.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.Func("backends", "comma-separated backend base URLs (required)", func(s string) error {
+		c.Backends = nil
+		for _, b := range strings.Split(s, ",") {
+			if b = strings.TrimSpace(b); b != "" {
+				c.Backends = append(c.Backends, b)
+			}
+		}
+		return nil
+	})
+	fs.IntVar(&c.Replicas, "replicas", defaults.Replicas, "virtual ring nodes per backend")
+	fs.Float64Var(&c.LoadFactor, "load-factor", defaults.LoadFactor, "bounded-load factor c: skip a backend past ceil(c*(total+1)/n) in-flight")
+	fs.DurationVar(&c.HealthInterval, "health-interval", defaults.HealthInterval, "backend /readyz poll period")
+	fs.DurationVar(&c.HealthTimeout, "health-timeout", defaults.HealthTimeout, "per-probe timeout")
+	fs.IntVar(&c.FailThreshold, "fail-threshold", defaults.FailThreshold, "consecutive probe failures before a backend is unroutable")
+	fs.IntVar(&c.RiseThreshold, "rise-threshold", defaults.RiseThreshold, "consecutive probe successes before a backend is routable again")
+	fs.IntVar(&c.MaxAttempts, "max-attempts", defaults.MaxAttempts, "total attempts per request (first try + retries + hedges)")
+	fs.DurationVar(&c.RetryBaseDelay, "retry-base", defaults.RetryBaseDelay, "backoff base before the second attempt")
+	fs.DurationVar(&c.RetryMaxDelay, "retry-max", defaults.RetryMaxDelay, "backoff cap")
+	fs.Float64Var(&c.HedgeQuantile, "hedge-quantile", defaults.HedgeQuantile, "attempt-latency quantile that arms a hedged attempt (<0 disables hedging)")
+	fs.DurationVar(&c.HedgeMin, "hedge-min", defaults.HedgeMin, "learned hedge delay floor")
+	fs.DurationVar(&c.HedgeMax, "hedge-max", defaults.HedgeMax, "learned hedge delay ceiling (used until warmed up)")
+	fs.IntVar(&c.BreakerFailures, "breaker-failures", defaults.BreakerFailures, "consecutive failures that open a backend's circuit breaker")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", defaults.BreakerCooldown, "open circuit cooldown before the half-open probe")
+	fs.DurationVar(&c.DefaultBudget, "budget", defaults.DefaultBudget, "default per-request deadline when the client sends none")
+	fs.IntVar(&c.TraceRing, "trace-ring", 0, "retained gateway traces for /debug/spans and /debug/trace (0 = default ring, <0 disables retention)")
+	fs.DurationVar(&c.FleetInterval, "fleet-interval", defaults.FleetInterval, "backend /metrics scrape+merge period (<0 disables fleet aggregation)")
+	slo.FlagVar(fs, &c.SLO, "fleet-level objectives over merged scrapes, e.g. 'latency@/render:le=250ms:target=99%' (empty = engine off)")
+	faultinject.FlagVar(fs, "inject deterministic transport faults toward the backends, e.g. 'kill@transport:n=7;status@transport:s=503:n=13:c=3' (see internal/faultinject)",
+		func(in *faultinject.Injector) { c.Transport = faultinject.NewTransport(in, nil) })
+	telemetry.LogFlags(fs, &c.Logger)
 }
 
 // backend is one fleet member's live state.

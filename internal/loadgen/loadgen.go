@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -39,6 +40,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +50,8 @@ import (
 )
 
 // Config tunes one load run. A target (BaseURL or Targets) and RPS are
-// required; everything else has defaults from normalize.
+// required; everything else gets the shipped defaults from normalize, and
+// RegisterFlags binds loadgen's flags to the same ones.
 type Config struct {
 	BaseURL string // service root, e.g. "localhost:8080" paths are appended to
 	// Targets is the multi-endpoint form of BaseURL: arrivals round-robin
@@ -81,42 +84,91 @@ type Config struct {
 	Client        *http.Client
 }
 
+// defaults is the shipped configuration, stated once: normalize fills
+// zero fields from it and RegisterFlags shows it as the flag defaults.
+// Concurrency is absent because it derives from RPS.
+var defaults = Config{
+	Duration:      15 * time.Second,
+	Skew:          1.2,
+	Format:        "ppm",
+	Seed:          1,
+	RetryAfterCap: 2 * time.Second,
+}
+
 func (c *Config) normalize() error {
-	if c.BaseURL != "" {
-		c.Targets = append([]string{c.BaseURL}, c.Targets...)
+	targets := make([]string, 0, len(c.Targets)+1)
+	for _, t := range append([]string{c.BaseURL}, c.Targets...) {
+		if t != "" {
+			targets = append(targets, strings.TrimRight(t, "/"))
+		}
 	}
-	if len(c.Targets) == 0 {
+	if c.Targets = targets; len(c.Targets) == 0 {
 		return errors.New("loadgen: at least one target required")
 	}
 	c.BaseURL = c.Targets[0]
 	if c.RetryAfterCap == 0 {
-		c.RetryAfterCap = 2 * time.Second
+		c.RetryAfterCap = defaults.RetryAfterCap
 	}
 	if !(c.RPS > 0) {
 		return errors.New("loadgen: RPS must be positive")
 	}
 	if c.Duration <= 0 {
-		c.Duration = 15 * time.Second
+		c.Duration = defaults.Duration
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = max(8, int(math.Ceil(c.RPS*4)))
 	}
 	if c.Skew == 0 {
-		c.Skew = 1.2
+		c.Skew = defaults.Skew
 	}
 	if !(c.Skew > 1) {
 		return fmt.Errorf("loadgen: Zipf skew %v must be > 1", c.Skew)
 	}
 	if c.Format == "" {
-		c.Format = "ppm"
+		c.Format = defaults.Format
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = defaults.Seed
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 60 * time.Second}
 	}
 	return nil
+}
+
+// RegisterFlags declares loadgen's run flags on fs, each bound straight
+// into c with its default read from defaults. -concurrency defaults to 0
+// so it keeps following -rps. -rps has a flag default but no library
+// one: a Config must state its rate.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.BaseURL, "url", "", "shearwarpd base URL (default http://localhost:8080 when no -target given)")
+	fs.Func("target", "service base URL; repeat (or comma-separate) to round-robin arrivals across replicas/gateways", func(s string) error {
+		c.Targets = append(c.Targets, splitList(s)...)
+		return nil
+	})
+	fs.DurationVar(&c.RetryAfterCap, "retry-after-cap", defaults.RetryAfterCap, "longest honored Retry-After backoff on shed responses (negative = ignore hints)")
+	fs.Float64Var(&c.RPS, "rps", 10, "target request rate (open loop)")
+	fs.DurationVar(&c.Duration, "duration", defaults.Duration, "how long to dispatch requests")
+	fs.IntVar(&c.Concurrency, "concurrency", 0, "max in-flight requests (0 = 4*rps, min 8)")
+	fs.Float64Var(&c.Skew, "skew", defaults.Skew, "Zipf skew over the volume catalogue (> 1)")
+	fs.Func("volumes", "comma-separated popularity-ranked volumes (empty = discover from /healthz)", func(s string) error {
+		c.Volumes = splitList(s)
+		return nil
+	})
+	fs.StringVar(&c.Algorithm, "alg", "", "render algorithm to request (empty = service default)")
+	fs.StringVar(&c.Format, "format", defaults.Format, "frame format to request")
+	fs.Int64Var(&c.Seed, "seed", defaults.Seed, "RNG seed for the tenant/viewpoint sequence")
+}
+
+// splitList splits a comma-separated flag value, dropping blank items.
+func splitList(s string) []string {
+	var out []string
+	for _, v := range strings.Split(s, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // CacheDelta is the service-side cache traffic attributable to the run:

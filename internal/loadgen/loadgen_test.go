@@ -209,3 +209,16 @@ func TestDiscoverVolumes(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeKeepsCallerTargets: trimming trailing slashes leaves the
+// caller's Targets slice as it was.
+func TestNormalizeKeepsCallerTargets(t *testing.T) {
+	targets := []string{"http://a/", "http://b"}
+	c := Config{Targets: targets, RPS: 1}
+	if err := c.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Targets[0] != "http://a" || targets[0] != "http://a/" {
+		t.Errorf("normalized %q from caller's %q; want trimmed copy, caller untouched", c.Targets, targets)
+	}
+}

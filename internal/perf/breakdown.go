@@ -106,7 +106,7 @@ func (fb *FrameBreakdown) JSON() ([]byte, error) {
 }
 
 // Cumulative aggregates frame breakdowns across a run — the backing store
-// for the expvar/metrics endpoint on long animations. Add and Snapshot
+// for shearwarpd's /metrics phases. Add and Snapshot
 // are safe to call concurrently from any number of goroutines: both take
 // the same mutex, so a snapshot always observes whole frames — never a
 // frame whose phases are partially accumulated.

@@ -134,8 +134,8 @@ func TestCumulativeAggregation(t *testing.T) {
 	if s.MeanImbalancePct < 14.9 || s.MeanImbalancePct > 15.1 {
 		t.Fatalf("mean imbalance pct = %f", s.MeanImbalancePct)
 	}
-	// A zero/nil Cumulative snapshots cleanly (the expvar endpoint can be
-	// scraped before the first frame).
+	// A zero/nil Cumulative snapshots cleanly (/metrics can be scraped
+	// before the first frame).
 	var empty *Cumulative
 	if snap := empty.Snapshot(); snap.Frames != 0 || snap.PhaseNS == nil {
 		t.Fatal("nil cumulative snapshot malformed")

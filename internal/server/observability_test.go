@@ -96,9 +96,9 @@ func TestSLOAlertFlip(t *testing.T) {
 	}
 }
 
-// TestSLODisabled checks SLOInterval < 0 turns the engine off.
+// TestSLODisabled checks an empty objective list turns the engine off.
 func TestSLODisabled(t *testing.T) {
-	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, SLOInterval: -1})
+	s := newTestServer(t, Config{Procs: 2, MaxConcurrent: 2, SLO: []slo.Objective{}})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -27,7 +27,7 @@
 //   - observability: per-endpoint request/error/latency counters, cache
 //     hit/miss/eviction/build counters, and the cumulative phase
 //     breakdown of every rendered frame (derived from the frame's spans),
-//     all served by /metrics and optionally published through expvar.
+//     all served by /metrics.
 //
 // Output contract: a frame rendered through the service is byte-identical
 // to one rendered by calling the library directly with the same volume,
@@ -38,7 +38,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"expvar"
+	"flag"
 	"fmt"
 	"log/slog"
 	"math"
@@ -61,8 +61,8 @@ import (
 	"shearwarp/internal/volcache"
 )
 
-// Config tunes the service. The zero value gets sensible defaults from
-// New.
+// Config tunes the service. The zero value gets the shipped defaults
+// from New; RegisterFlags binds shearwarpd's flags to the same ones.
 type Config struct {
 	Procs int // workers inside each parallel render (default GOMAXPROCS: more only take turns on the cores there are)
 	// Algorithm renders requests that omit ?alg. The zero value,
@@ -104,13 +104,28 @@ type Config struct {
 	// are what /metrics' phases are derived from.
 	TraceRing int
 	// SLO lists the service-level objectives the embedded SLO engine
-	// evaluates (internal/slo). Nil runs slo.DefaultSpec; objectives
-	// naming endpoints the server does not serve are skipped with a log.
+	// evaluates (internal/slo). Nil runs slo.DefaultSpec and an empty
+	// list runs no engine; objectives naming endpoints the server does
+	// not serve are skipped with a log.
 	SLO []slo.Objective
 	// SLOInterval is the engine's background sampling period (default
 	// 10s; the engine also samples on every /debug/slo and /metrics
-	// read). Negative disables the SLO engine entirely.
+	// read); an empty SLO list, not this, turns the engine off.
 	SLOInterval time.Duration
+}
+
+// defaults is the shipped configuration, stated once: normalize fills
+// zero fields from it and RegisterFlags shows it as the flag defaults.
+// MaxQueue, PoolSize and Procs are absent because they derive from
+// MaxConcurrent and the core count.
+var defaults = Config{
+	Algorithm:     shearwarp.NewParallel,
+	MaxConcurrent: 8,
+	QueueTimeout:  5 * time.Second,
+	RenderTimeout: 30 * time.Second,
+	CacheBytes:    256 << 20,
+	TraceRing:     telemetry.DefaultRing,
+	SLOInterval:   10 * time.Second,
 }
 
 func (c *Config) normalize() {
@@ -118,10 +133,10 @@ func (c *Config) normalize() {
 		c.Procs = runtime.GOMAXPROCS(0)
 	}
 	if c.Algorithm == shearwarp.AlgorithmAuto {
-		c.Algorithm = shearwarp.NewParallel
+		c.Algorithm = defaults.Algorithm
 	}
 	if c.MaxConcurrent < 1 {
-		c.MaxConcurrent = 8
+		c.MaxConcurrent = defaults.MaxConcurrent
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 4 * c.MaxConcurrent
@@ -130,17 +145,53 @@ func (c *Config) normalize() {
 		c.PoolSize = c.MaxConcurrent
 	}
 	if c.QueueTimeout == 0 {
-		c.QueueTimeout = 5 * time.Second
+		c.QueueTimeout = defaults.QueueTimeout
 	}
 	if c.RenderTimeout == 0 {
-		c.RenderTimeout = 30 * time.Second
+		c.RenderTimeout = defaults.RenderTimeout
 	}
 	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 20
+		c.CacheBytes = defaults.CacheBytes
 	}
-	if c.SLOInterval == 0 {
-		c.SLOInterval = 10 * time.Second
+	if c.TraceRing == 0 {
+		c.TraceRing = defaults.TraceRing
 	}
+	if c.SLOInterval <= 0 {
+		c.SLOInterval = defaults.SLOInterval
+	}
+}
+
+// RegisterFlags declares shearwarpd's service flags on fs, each bound
+// straight into c with its default read from defaults. The flags of
+// derived fields (-procs, -pool, -max-queue) default to 0, so they keep
+// following -max-concurrent and the core count. -mode and -iso are the
+// command's (cli.RegisterMode).
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	c.Algorithm, c.CacheBytes = defaults.Algorithm, defaults.CacheBytes
+	fs.Func("alg", "default algorithm: serial | old | new | raycast", func(s string) (err error) {
+		c.Algorithm, err = shearwarp.ParseAlgorithm(s)
+		return err
+	})
+	fs.Lookup("alg").DefValue = c.Algorithm.String()
+	fs.IntVar(&c.Procs, "procs", 0, "workers inside each parallel render (0 = GOMAXPROCS)")
+	fs.IntVar(&c.PoolSize, "pool", 0, "renderers per (volume, transfer, algorithm) pool (0 = max-concurrent)")
+	fs.IntVar(&c.MaxConcurrent, "max-concurrent", defaults.MaxConcurrent, "frames rendering at once")
+	fs.IntVar(&c.MaxQueue, "max-queue", 0, "requests waiting for admission before 503 (0 = 4*max-concurrent)")
+	fs.DurationVar(&c.QueueTimeout, "queue-timeout", defaults.QueueTimeout, "longest admission wait before 503")
+	fs.DurationVar(&c.RenderTimeout, "render-timeout", defaults.RenderTimeout, "request deadline to start rendering")
+	fs.Func("cache-mb", "preprocessing cache budget in MiB (<0 = unbounded)", func(s string) error {
+		mb, err := strconv.ParseInt(s, 10, 64)
+		c.CacheBytes = mb << 20
+		return err
+	})
+	fs.Lookup("cache-mb").DefValue = strconv.FormatInt(c.CacheBytes>>20, 10)
+	fs.DurationVar(&c.WatchdogTimeout, "watchdog", 0, "cancel frames still rendering after this long and answer 500 (0 = off)")
+	faultinject.FlagVar(fs, "inject deterministic faults for chaos testing, e.g. 'panic@composite:w=1;delay@scanline:n=100:d=2ms' (see internal/faultinject)",
+		func(in *faultinject.Injector) { c.Faults = in })
+	telemetry.LogFlags(fs, &c.Logger)
+	fs.IntVar(&c.TraceRing, "trace-ring", defaults.TraceRing, "recent request traces retained for /debug/spans (<0 = none, /debug/spans off)")
+	slo.FlagVar(fs, &c.SLO, "service-level objectives for /debug/slo, e.g. 'latency@/render:le=250ms:target=99%;availability@/render:target=99.9%' (empty = engine off)")
+	fs.DurationVar(&c.SLOInterval, "slo-interval", defaults.SLOInterval, "SLO engine background sampling period")
 }
 
 // volumeRec is one registered volume: the raw data plus its default
@@ -211,7 +262,7 @@ type Server struct {
 	tel                        *serverTelemetry
 	mux                        *http.ServeMux
 
-	slo       *slo.Engine   // nil when Config.SLOInterval < 0 or construction failed
+	slo       *slo.Engine   // nil when Config.SLO is empty or construction failed
 	sloStop   chan struct{} // closed by Close to stop the sampling loop
 	profiling atomic.Bool   // single-flight guard for /debug/profile
 }
@@ -239,9 +290,7 @@ func New(cfg Config) *Server {
 	// The render endpoint's histogram retains exemplars: tail buckets
 	// link back to the request (and its span trace) that landed there.
 	s.mRender.latency.EnableExemplars()
-	if cfg.SLOInterval >= 0 {
-		s.slo = slo.Build(cfg.SLO, s.sloSource, s.tel.logger)
-	}
+	s.slo = slo.Build(cfg.SLO, s.sloSource, s.tel.logger)
 	if s.slo != nil {
 		go s.sloLoop(cfg.SLOInterval)
 	}
@@ -339,17 +388,6 @@ func (s *Server) Close() {
 			pe.pool.Close()
 		}
 	}
-}
-
-// PublishExpvar exposes the server's metrics snapshot under the expvar
-// name "shearwarpd" (alongside /debug/vars). Safe to call once per
-// process; later calls are no-ops.
-var expvarOnce sync.Once
-
-func (s *Server) PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("shearwarpd", expvar.Func(func() any { return s.metricsSnapshot() }))
-	})
 }
 
 // instrument wraps a handler with the endpoint's counters.

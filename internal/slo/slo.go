@@ -24,6 +24,7 @@
 package slo
 
 import (
+	"flag"
 	"fmt"
 	"log/slog"
 	"math"
@@ -155,8 +156,9 @@ func New(objectives []Objective, sources []Source, now func() time.Time) (*Engin
 	return e, nil
 }
 
-// Build is how a daemon makes its engine: objs (nil runs DefaultSpec),
-// each read through the Source the daemon's source func maps it to. An
+// Build is how a daemon makes its engine: objs (nil runs DefaultSpec; an
+// empty, non-nil list runs no engine and returns nil), each read through
+// the Source the daemon's source func maps it to. An
 // objective mapped to nil (an endpoint the daemon cannot answer for) is
 // skipped with a log line; objectives New refuses (duplicate names) are
 // logged and give a nil engine, which disables SLOs rather than the
@@ -165,6 +167,8 @@ func New(objectives []Objective, sources []Source, now func() time.Time) (*Engin
 func Build(objs []Objective, source func(Objective) Source, log *slog.Logger) *Engine {
 	if objs == nil {
 		objs, _ = Parse(DefaultSpec)
+	} else if len(objs) == 0 {
+		return nil
 	}
 	kept := make([]Objective, 0, len(objs))
 	srcs := make([]Source, 0, len(objs))
@@ -358,9 +362,27 @@ func Handler(e *Engine, log *slog.Logger) http.HandlerFunc {
 	}
 }
 
-// DefaultSpec is the objective set shearwarpd runs with when -slo is
+// DefaultSpec is the objective set both daemons run with when -slo is
 // not given: p-latency and availability on the render endpoint.
 const DefaultSpec = "latency@/render:le=500ms:target=99%;availability@/render:target=99.9%"
+
+// FlagVar declares -slo on fs with default DefaultSpec, which it leaves
+// as a nil *objs for Build to resolve. A spec given explicitly binds a
+// non-nil list, so -slo "" is an empty list: no engine.
+func FlagVar(fs *flag.FlagSet, objs *[]Objective, usage string) {
+	fs.Func("slo", usage, func(spec string) error {
+		o, err := Parse(spec)
+		if err != nil {
+			return err
+		}
+		if o == nil {
+			o = []Objective{}
+		}
+		*objs = o
+		return nil
+	})
+	fs.Lookup("slo").DefValue = DefaultSpec
+}
 
 // Parse reads a spec string into objectives. The grammar, in the style
 // of the fault-injection specs:

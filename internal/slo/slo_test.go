@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"log/slog"
 	"math"
 	"strings"
 	"testing"
@@ -248,5 +249,18 @@ func TestSortStatuses(t *testing.T) {
 	sortStatuses(sts)
 	if sts[0].Name != "c" || sts[1].Name != "b" || sts[2].Name != "a" {
 		t.Fatalf("sort order: %v %v %v", sts[0].Name, sts[1].Name, sts[2].Name)
+	}
+}
+
+// TestBuildObjectiveLists pins Build's two list meanings: nil runs
+// DefaultSpec, an empty non-nil list runs no engine.
+func TestBuildObjectiveLists(t *testing.T) {
+	src := func(Objective) Source { return func() (int64, int64) { return 0, 0 } }
+	log := slog.New(slog.DiscardHandler)
+	if e := Build(nil, src, log); e == nil || len(e.Statuses()) != 2 {
+		t.Fatalf("Build(nil): want the two DefaultSpec objectives, got %v", e)
+	}
+	if e := Build([]Objective{}, src, log); e != nil {
+		t.Fatalf("Build(empty): want no engine, got %v", e)
 	}
 }

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"context"
+	"flag"
 	"io"
 	"log/slog"
+	"os"
 )
 
 // Structured logging for the render service. The service logs with
@@ -55,4 +57,25 @@ func NewLogger(w io.Writer, format string, level slog.Level) *slog.Logger {
 		return slog.New(slog.NewTextHandler(w, opts))
 	}
 	return DiscardLogger()
+}
+
+// LogFlags declares -log-format and -log-level on fs. Setting either
+// rebuilds *logger from both, so nothing resolves them after Parse;
+// neither set leaves *logger nil, which the daemons treat as logging off.
+func LogFlags(fs *flag.FlagSet, logger **slog.Logger) {
+	format, level := "", slog.LevelInfo
+	set := func() { *logger = NewLogger(os.Stderr, format, level) }
+	fs.Func("log-format", "structured log format: text | json (empty = logging off)", func(s string) error {
+		format = s
+		set()
+		return nil
+	})
+	fs.Func("log-level", "minimum log level: debug | info | warn | error", func(s string) error {
+		if err := level.UnmarshalText([]byte(s)); err != nil {
+			return err
+		}
+		set()
+		return nil
+	})
+	fs.Lookup("log-level").DefValue = "info"
 }

@@ -206,12 +206,16 @@ type Tracer struct {
 // callers stop asking.
 const maxFreeSpanBufs = 8
 
+// DefaultRing is the recent-trace ring size a non-positive ring
+// argument to NewTracer gets.
+const DefaultRing = 64
+
 // NewTracer returns a tracer retaining ring recent traces, head
 // first-ever traces and slow slowest traces (non-positive arguments get
-// defaults of 64, 16 and 16).
+// defaults of DefaultRing, 16 and 16).
 func NewTracer(ring, head, slow int) *Tracer {
 	if ring <= 0 {
-		ring = 64
+		ring = DefaultRing
 	}
 	if head <= 0 {
 		head = 16
