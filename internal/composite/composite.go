@@ -244,7 +244,8 @@ type pixSpan struct{ Lo, Hi int }
 // voxels) are masked off by the kernel; the sentinel laneZero means the line
 // has no voxels under the piece and the kernel reads the shared zero lane;
 // any other negative value means the taps were staged, gaps zeroed, into the
-// scratch lane starting at index ^b, and the window is the whole piece.
+// scratch lane starting at index ^b. For the zero and staged lanes the
+// window is the whole piece, [0, n+1).
 type liveIv struct {
 	Lo, Hi int32
 	B0, B1 int32
@@ -254,6 +255,12 @@ type liveIv struct {
 
 // laneZero marks a live piece with no contributing voxels on that line.
 const laneZero = math.MinInt32
+
+// readPad is how many taps past a piece's last one (tap n) every tap source
+// must still be readable for: the four-wide kernel loads taps j..j+3 and
+// j+1..j+4 for pixel group j, and the last group of an n-pixel piece starts
+// at most at n-1. The taps past n are masked to zero before any arithmetic.
+const readPad = 3
 
 // laneSel resolves a liveIv tap-source code to the slice the kernel reads
 // its taps from.
@@ -324,16 +331,17 @@ func (c *Ctx) Bind(f *xform.Factorization, v *rle.Volume, m *img.Intermediate) {
 		c.sat = make([]int32, 0, m.W)
 	}
 	// A live piece spans at most Ni+1 pixels (tap indices -1..Ni), so
-	// lanes of Ni+2 cover any piece; the zero lane is made zeroed and never
-	// written, so shrinking reslices keep it zero.
-	if cap(c.vlane0) < v.Ni+2 {
-		c.vlane0 = make([]classify.Voxel, v.Ni+2)
-		c.vlane1 = make([]classify.Voxel, v.Ni+2)
-		c.zvlane = make([]classify.Voxel, v.Ni+2)
+	// lanes of Ni+2 cover any piece, plus the readPad taps the four-wide
+	// kernel loads past a piece's last one; the zero lane is made zeroed
+	// and never written, so shrinking reslices keep it zero.
+	if n := v.Ni + 2 + readPad; cap(c.vlane0) < n {
+		c.vlane0 = make([]classify.Voxel, n)
+		c.vlane1 = make([]classify.Voxel, n)
+		c.zvlane = make([]classify.Voxel, n)
 	} else {
-		c.vlane0 = c.vlane0[:v.Ni+2]
-		c.vlane1 = c.vlane1[:v.Ni+2]
-		c.zvlane = c.zvlane[:v.Ni+2]
+		c.vlane0 = c.vlane0[:n]
+		c.vlane1 = c.vlane1[:n]
+		c.zvlane = c.zvlane[:n]
 	}
 	c.bindSliceTable()
 }
@@ -478,7 +486,6 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 	cnt.Cycles += CyclesPerLineSetup
 	V := c.V
 	c.initAct(vRow)
-	mip := c.Mode == rendermode.MIP
 
 	// The slice loop accumulates its counter charges in locals and flushes
 	// them once per scanline: the totals are plain int64 sums, so batching
@@ -544,11 +551,7 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 		if len(c.live) == 0 {
 			continue
 		}
-		if mip {
-			c.compositeLiveMIP(vRow, &g, cnt)
-		} else {
-			c.compositeLiveScalar(vRow, &g, cnt)
-		}
+		c.compositeLive(vRow, &g, cnt)
 		if len(c.sat) > 0 {
 			c.applySat(vRow)
 		}
@@ -793,24 +796,25 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 				x0 := u - off // first tap of the piece (>= -1)
 				x1 := e - off // last tap, inclusive
 				n := e - u
-				iv := liveIv{Lo: int32(u), Hi: int32(e), B0: laneZero, B1: laneZero}
+				iv := liveIv{Lo: int32(u), Hi: int32(e), B0: laneZero, B1: laneZero,
+					E0: int32(n + 1), E1: int32(n + 1)}
 				for cc0 < i0 && int(lo0[cc0])+int(cn0[cc0]) <= x0 {
 					cc0++
 				}
 				if cc0 < i0 && int(lo0[cc0]) <= x1 {
 					// The taps meet span cc0. If they meet no other, they
 					// are read where they lie: b is where tap 0 would sit
-					// were the span's voxels to extend over the whole piece.
+					// were the span's voxels to extend over the whole piece,
+					// and the stream must hold readPad voxels past tap n.
 					s := int(lo0[cc0])
 					b := int(vx0[cc0]) + x0 - s
-					if (cc0+1 == n0 || int(lo0[cc0+1]) > x1) && b >= 0 && b+n < nvox {
+					if (cc0+1 == n0 || int(lo0[cc0+1]) > x1) && b >= 0 && b+n+readPad < nvox {
 						iv.B0 = int32(b)
 						iv.A0 = int32(max(s-x0, 0))
 						iv.E0 = int32(min(s+int(cn0[cc0])-x0, n+1))
 					} else {
 						fillLane(lo0, cn0, vx0, vox, c.vlane0, cc0, x0, x1)
 						iv.B0 = ^int32(x0 + 1)
-						iv.E0 = int32(n + 1)
 					}
 				}
 				for cc1 < i1 && int(lo1[cc1])+int(cn1[cc1]) <= x0 {
@@ -819,14 +823,13 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 				if cc1 < i1 && int(lo1[cc1]) <= x1 {
 					s := int(lo1[cc1])
 					b := int(vx1[cc1]) + x0 - s
-					if (cc1+1 == n1 || int(lo1[cc1+1]) > x1) && b >= 0 && b+n < nvox {
+					if (cc1+1 == n1 || int(lo1[cc1+1]) > x1) && b >= 0 && b+n+readPad < nvox {
 						iv.B1 = int32(b)
 						iv.A1 = int32(max(s-x0, 0))
 						iv.E1 = int32(min(s+int(cn1[cc1])-x0, n+1))
 					} else {
 						fillLane(lo1, cn1, vx1, vox, c.vlane1, cc1, x0, x1)
 						iv.B1 = ^int32(x0 + 1)
-						iv.E1 = int32(n + 1)
 					}
 				}
 				live = append(live, iv)
@@ -1042,140 +1045,6 @@ func (c *Ctx) compositePixel(vRow, u, off int, w00, w10, w01, w11 float32, cnt *
 		return true
 	}
 	return false
-}
-
-// compositeLiveScalar is the untraced hot loop: the exact float32 pixel
-// kernel over the precollected live intervals. It performs exactly the
-// arithmetic of compositePixel per pixel — same unpack tables, same
-// grouping, same order — but reads its four bilinear taps from each piece's
-// tap sources with no bounds or validity branches: a tap outside the line's
-// valid-tap window is masked to the exact zero the reference reads there
-// (see outside), and every tap source and pixel quad is a fixed-shape
-// subslice, so the inner loop compiles without bounds checks (verified with
-// -d=ssa/check_bce). Images and counter totals stay bit-identical to the
-// traced path.
-func (c *Ctx) compositeLiveScalar(vRow int, g *sliceGeom, cnt *Counters) {
-	M := c.M
-	rowBase := vRow * M.W
-	pix := M.Pix[4*rowBase : 4*(rowBase+M.W)]
-	vox := c.V.Vox
-	w00, w10, w01, w11 := g.w00, g.w10, g.w01, g.w11
-	lut := c.alphaLUT
-	var samples, empty int64
-	for _, iv := range c.live {
-		n := int(iv.Hi - iv.Lo)
-		t0 := laneSel(iv.B0, vox, c.vlane0, c.zvlane)[:n+1]
-		t1 := laneSel(iv.B1, vox, c.vlane1, c.zvlane)
-		t1 = t1[:len(t0)] // teach the compiler the lanes are the same length
-		lo := int(iv.Lo)
-		a0, l0 := int(iv.A0), int(iv.E0)-1
-		a1, l1 := int(iv.A1), int(iv.E1)-1
-		v00 := t0[0] &^ outside(0, a0, l0)
-		v01 := t1[0] &^ outside(0, a1, l1)
-		for j := 1; j < len(t0); j++ {
-			v10 := t0[j] &^ outside(j, a0, l0)
-			v11 := t1[j] &^ outside(j, a1, l1)
-			aa := w00*u8f255[v00>>24] + w10*u8f255[v10>>24] +
-				w01*u8f255[v01>>24] + w11*u8f255[v11>>24]
-			if aa < 1.0/512 {
-				empty++
-				v00, v01 = v10, v11
-				continue
-			}
-			scale := float32(1)
-			if lut != nil {
-				corrected := c.correctAlpha(aa)
-				scale = corrected / aa
-				aa = corrected
-			}
-			a0 := w00 * u8f[v00>>24] * (1.0 / 255)
-			a1 := w10 * u8f[v10>>24] * (1.0 / 255)
-			a2 := w01 * u8f[v01>>24] * (1.0 / 255)
-			a3 := w11 * u8f[v11>>24] * (1.0 / 255)
-			ar := a0*u8f[(v00>>16)&0xff] + a1*u8f[(v10>>16)&0xff] + a2*u8f[(v01>>16)&0xff] + a3*u8f[(v11>>16)&0xff]
-			ag := a0*u8f[(v00>>8)&0xff] + a1*u8f[(v10>>8)&0xff] + a2*u8f[(v01>>8)&0xff] + a3*u8f[(v11>>8)&0xff]
-			ab := a0*u8f[v00&0xff] + a1*u8f[v10&0xff] + a2*u8f[v01&0xff] + a3*u8f[v11&0xff]
-
-			u := lo + j - 1
-			px := pix[4*u : 4*u+4 : 4*u+4]
-			t := scale * (1 - px[3])
-			px[0] += t * ar * (1.0 / 255)
-			px[1] += t * ag * (1.0 / 255)
-			px[2] += t * ab * (1.0 / 255)
-			px[3] += (1 - px[3]) * aa
-			samples++
-			if px[3] >= img.OpacityThreshold {
-				c.sat = append(c.sat, int32(u))
-			}
-			v00, v01 = v10, v11
-		}
-	}
-	cnt.Samples += samples
-	cnt.EmptyPixels += empty
-	cnt.Cycles += samples*CyclesPerSample + empty*CyclesPerEmptyPixel
-}
-
-// compositeLiveMIP is the untraced MIP pixel kernel: the same bilinear
-// resampling as compositeLiveScalar (same unpack tables, same grouping, so
-// per-sample values are bit-identical to the composite kernel's), but the
-// accumulation keeps the per-channel maximum of the premultiplied sample
-// instead of over-blending it. Float max is exactly order-independent, and
-// every intermediate scanline is still owned front-to-back by one worker,
-// so serial, old-parallel and new-parallel MIP frames are byte-identical —
-// the invariant FuzzMIPOrderInvariance pins. No pixel ever saturates, so
-// the kernel never appends to c.sat, the active list never shrinks and
-// early ray termination is structurally disabled. The opacity-correction
-// LUT is deliberately ignored: a maximum over a ray's samples does not
-// depend on their spacing, so MIP output is identical with and without
-// correction (DESIGN.md section 14).
-func (c *Ctx) compositeLiveMIP(vRow int, g *sliceGeom, cnt *Counters) {
-	M := c.M
-	rowBase := vRow * M.W
-	pix := M.Pix[4*rowBase : 4*(rowBase+M.W)]
-	vox := c.V.Vox
-	w00, w10, w01, w11 := g.w00, g.w10, g.w01, g.w11
-	var samples, empty int64
-	for _, iv := range c.live {
-		n := int(iv.Hi - iv.Lo)
-		t0 := laneSel(iv.B0, vox, c.vlane0, c.zvlane)[:n+1]
-		t1 := laneSel(iv.B1, vox, c.vlane1, c.zvlane)
-		t1 = t1[:len(t0)] // teach the compiler the lanes are the same length
-		lo := int(iv.Lo)
-		a0, l0 := int(iv.A0), int(iv.E0)-1
-		a1, l1 := int(iv.A1), int(iv.E1)-1
-		v00 := t0[0] &^ outside(0, a0, l0)
-		v01 := t1[0] &^ outside(0, a1, l1)
-		for j := 1; j < len(t0); j++ {
-			v10 := t0[j] &^ outside(j, a0, l0)
-			v11 := t1[j] &^ outside(j, a1, l1)
-			aa := w00*u8f255[v00>>24] + w10*u8f255[v10>>24] +
-				w01*u8f255[v01>>24] + w11*u8f255[v11>>24]
-			if aa < 1.0/512 {
-				empty++
-				v00, v01 = v10, v11
-				continue
-			}
-			a0 := w00 * u8f[v00>>24] * (1.0 / 255)
-			a1 := w10 * u8f[v10>>24] * (1.0 / 255)
-			a2 := w01 * u8f[v01>>24] * (1.0 / 255)
-			a3 := w11 * u8f[v11>>24] * (1.0 / 255)
-			ar := a0*u8f[(v00>>16)&0xff] + a1*u8f[(v10>>16)&0xff] + a2*u8f[(v01>>16)&0xff] + a3*u8f[(v11>>16)&0xff]
-			ag := a0*u8f[(v00>>8)&0xff] + a1*u8f[(v10>>8)&0xff] + a2*u8f[(v01>>8)&0xff] + a3*u8f[(v11>>8)&0xff]
-			ab := a0*u8f[v00&0xff] + a1*u8f[v10&0xff] + a2*u8f[v01&0xff] + a3*u8f[v11&0xff]
-
-			u := lo + j - 1
-			px := pix[4*u : 4*u+4 : 4*u+4]
-			px[0] = max(px[0], ar*(1.0/255))
-			px[1] = max(px[1], ag*(1.0/255))
-			px[2] = max(px[2], ab*(1.0/255))
-			px[3] = max(px[3], aa)
-			samples++
-			v00, v01 = v10, v11
-		}
-	}
-	cnt.Samples += samples
-	cnt.EmptyPixels += empty
-	cnt.Cycles += samples*CyclesPerSample + empty*CyclesPerEmptyPixel
 }
 
 func alphaOf(v classify.Voxel) float32 {
