@@ -26,7 +26,6 @@ import (
 	"shearwarp/internal/rle"
 	"shearwarp/internal/telemetry"
 	"shearwarp/internal/vol"
-	"shearwarp/internal/warp"
 	"shearwarp/internal/xform"
 )
 
@@ -292,26 +291,6 @@ func BenchmarkCompositeOpaqueScalar(b *testing.B) {
 }
 func BenchmarkCompositeOneVoxelRunsScalar(b *testing.B) {
 	benchCompositeScanline(b, volOneVoxelRuns(64), stepTransfer)
-}
-
-// BenchmarkWarpSpan measures the untraced warp kernel on a single central
-// final-image row over a fully composited intermediate image.
-func BenchmarkWarpSpan(b *testing.B) {
-	r := render.New(vol.MRIBrain(64), render.Options{})
-	fr := r.Setup(0.5, 0.25)
-	cc := fr.NewCompositeCtx()
-	var ccnt composite.Counters
-	for row := 0; row < fr.M.H; row++ {
-		cc.Scanline(row, &ccnt)
-	}
-	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
-	y := fr.Out.H / 2
-	var cnt warp.Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wc.WarpSpan(y, 0, fr.Out.W, &cnt)
-	}
 }
 
 // ---- per-figure benchmarks ----

@@ -467,8 +467,10 @@ func (c *Ctx) Scanline(vRow int, cnt *Counters) int64 {
 // skip links once and bisects for the slices that can reach the row, then
 // per reachable slice (1) windows the contributing lines' encode-time span
 // index without touching the packed voxels, (2) merges the spans into pixel
-// intervals, (3) intersects those with the active list — charging the
-// reference walk's skip-link traversals — and classifies each surviving
+// intervals — or, when both lines contribute with a fractional column
+// weight, reads them from the encoding's line-pair index — (3) intersects
+// those with the active list — charging the reference walk's skip-link
+// traversals — and classifies each surviving
 // piece's tap source per line (the voxel stream in place behind a valid-tap
 // window, the shared zero lane, or a staged scratch lane where the taps meet
 // several spans), and (4) runs a checkless pixel kernel over the pieces,
@@ -543,11 +545,16 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 		if len(lo0)+len(lo1) == 0 {
 			continue
 		}
-		lead := 0
-		if g.fractional {
-			lead = 1
+		if g.have0 && g.have1 && g.fractional {
+			s := k*V.Nj + g.j0
+			skips += c.pairIntersectClassify(V.Pairs[V.PairOff[s]:V.PairOff[s+1]], lo0, cn0, vx0, lo1, cn1, vx1, g.off)
+		} else {
+			lead := 0
+			if g.fractional {
+				lead = 1
+			}
+			skips += c.mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1, g.off, lead)
 		}
-		skips += c.mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1, g.off, lead)
 		if len(c.live) == 0 {
 			continue
 		}
@@ -852,6 +859,116 @@ func (c *Ctx) mergeIntersectClassify(lo0, cn0, vx0, lo1, cn1, vx1 []int32, off, 
 			f1 = i1 - 1
 		}
 	}
+}
+
+// pairIntersectClassify is mergeIntersectClassify for the visits the
+// encoding's line-pair index describes — both lines present and a
+// fractional column weight: it reads the merged intervals as the pair's
+// components instead of merging the two span streams, and charges a
+// component that lies wholly on saturated pixels its one skip without
+// looking at its spans. A component is the voxel interval [Lo, Hi) the
+// reference coalesces its spans' [lo-1, lo+cnt) into, so shifted by off and
+// clamped to the row it is the reference's merged pixel interval, and its
+// span cursors S0, S1 start at or before the first span that can meet a
+// piece's taps; pieces, tap sources, staged lanes and skips are therefore
+// the reference's (FuzzPairIndexMatchesMerge holds the two equal).
+func (c *Ctx) pairIntersectClassify(comps []rle.PairComp, lo0, cn0, vx0, lo1, cn1, vx1 []int32, off int) int64 {
+	live := c.live[:0]
+	act := c.act
+	W := c.M.W
+	vox := c.V.Vox
+	nvox := len(vox)
+	n0, n1 := len(lo0), len(lo1)
+	ai := 0
+	var skips int64
+	for ci := 0; ci < len(comps); ci++ {
+		cp := &comps[ci]
+		lo := max(int(cp.Lo)+off, 0)
+		hi := min(int(cp.Hi)+off, W)
+		if lo >= hi {
+			if lo >= W {
+				break // so is every later component
+			}
+			continue
+		}
+		for ai < len(act) && act[ai].Hi <= lo {
+			ai++
+		}
+		if ai == len(act) {
+			// One link jump clears each remaining component inside the row.
+			for _, cp := range comps[ci:] {
+				if int(cp.Lo)+off >= W {
+					break
+				}
+				skips++
+			}
+			break
+		}
+		if act[ai].Lo >= hi {
+			skips++ // the component lies in the dead gap in front of act[ai]
+			continue
+		}
+		cc0, cc1 := int(cp.S0), int(cp.S1)
+		for u := lo; ; ai++ {
+			a := act[ai]
+			if a.Lo > u {
+				skips++
+				u = a.Lo
+				if u >= hi {
+					break
+				}
+			}
+			e := min(a.Hi, hi)
+			// The piece's tap sources, as mergeIntersectClassify resolves
+			// them.
+			x0 := u - off
+			x1 := e - off
+			n := e - u
+			iv := liveIv{Lo: int32(u), Hi: int32(e), B0: laneZero, B1: laneZero,
+				E0: int32(n + 1), E1: int32(n + 1)}
+			for cc0 < n0 && int(lo0[cc0])+int(cn0[cc0]) <= x0 {
+				cc0++
+			}
+			if cc0 < n0 && int(lo0[cc0]) <= x1 {
+				s := int(lo0[cc0])
+				b := int(vx0[cc0]) + x0 - s
+				if (cc0+1 == n0 || int(lo0[cc0+1]) > x1) && b >= 0 && b+n+readPad < nvox {
+					iv.B0 = int32(b)
+					iv.A0 = int32(max(s-x0, 0))
+					iv.E0 = int32(min(s+int(cn0[cc0])-x0, n+1))
+				} else {
+					fillLane(lo0, cn0, vx0, vox, c.vlane0, cc0, x0, x1)
+					iv.B0 = ^int32(x0 + 1)
+				}
+			}
+			for cc1 < n1 && int(lo1[cc1])+int(cn1[cc1]) <= x0 {
+				cc1++
+			}
+			if cc1 < n1 && int(lo1[cc1]) <= x1 {
+				s := int(lo1[cc1])
+				b := int(vx1[cc1]) + x0 - s
+				if (cc1+1 == n1 || int(lo1[cc1+1]) > x1) && b >= 0 && b+n+readPad < nvox {
+					iv.B1 = int32(b)
+					iv.A1 = int32(max(s-x0, 0))
+					iv.E1 = int32(min(s+int(cn1[cc1])-x0, n+1))
+				} else {
+					fillLane(lo1, cn1, vx1, vox, c.vlane1, cc1, x0, x1)
+					iv.B1 = ^int32(x0 + 1)
+				}
+			}
+			live = append(live, iv)
+			u = e
+			if u >= hi {
+				break
+			}
+			if ai+1 == len(act) {
+				skips++ // one link jump clears the rest of the component
+				break
+			}
+		}
+	}
+	c.live = live
+	return skips
 }
 
 // fillLane stages one piece's taps (inclusive tap range [x0, x1]) into the

@@ -225,7 +225,7 @@ func TestReadPadCoversEveryTapLoad(t *testing.T) {
 				enc[f.Axis] = rv
 			}
 			c := NewCtx(&f, rv, img.NewIntermediate(f.IntW, f.IntH))
-			check := func() {
+			check := func(int, *sliceGeom, *[2][3][]int32) {
 				for _, iv := range c.live {
 					n := int(iv.Hi - iv.Lo)
 					for _, src := range [2]struct {
@@ -260,9 +260,10 @@ func TestReadPadCoversEveryTapLoad(t *testing.T) {
 	}
 }
 
-// visitSlices walks row vRow as scanlineUntraced does, calling check on the
-// live pieces of every slice visit before they are composited.
-func visitSlices(c *Ctx, vRow int, check func()) {
+// visitSlices walks row vRow as scanlineUntraced does, calling check with
+// every slice visit's geometry and span windows once its live pieces are
+// classified and before they are composited.
+func visitSlices(c *Ctx, vRow int, check func(k int, g *sliceGeom, line *[2][3][]int32)) {
 	V := c.V
 	var cnt Counters
 	c.initAct(vRow)
@@ -279,12 +280,18 @@ func visitSlices(c *Ctx, vRow int, check func()) {
 				line[l] = [3][]int32{V.SpanLo[a:b], V.SpanCnt[a:b], V.SpanVox[a:b]}
 			}
 		}
-		lead := 0
-		if g.fractional {
-			lead = 1
+		if g.have0 && g.have1 && g.fractional {
+			s := k*V.Nj + g.j0
+			c.pairIntersectClassify(V.Pairs[V.PairOff[s]:V.PairOff[s+1]],
+				line[0][0], line[0][1], line[0][2], line[1][0], line[1][1], line[1][2], g.off)
+		} else {
+			lead := 0
+			if g.fractional {
+				lead = 1
+			}
+			c.mergeIntersectClassify(line[0][0], line[0][1], line[0][2], line[1][0], line[1][1], line[1][2], g.off, lead)
 		}
-		c.mergeIntersectClassify(line[0][0], line[0][1], line[0][2], line[1][0], line[1][1], line[1][2], g.off, lead)
-		check()
+		check(k, &g, &line)
 		if len(c.live) == 0 {
 			continue
 		}

@@ -108,9 +108,11 @@ func (v *Volume) Fingerprint() uint64 {
 }
 
 // MemoryBytes estimates the encoding's resident size — the quantity the
-// cache's byte budget is accounted in.
+// cache's byte budget is accounted in: every array of the encoding, the
+// span and line-pair indexes included.
 func (v *Volume) MemoryBytes() int64 {
 	return int64(len(v.Vox))*4 + int64(len(v.RunLens))*2 +
-		int64(len(v.RunOff)+len(v.VoxOff)+len(v.SpanOff))*4 +
-		int64(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4
+		int64(len(v.RunOff)+len(v.VoxOff)+len(v.SpanOff)+len(v.PairOff))*4 +
+		int64(len(v.SpanLo)+len(v.SpanCnt)+len(v.SpanVox))*4 +
+		int64(len(v.Pairs))*16
 }

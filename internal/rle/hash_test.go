@@ -1,6 +1,7 @@
 package rle
 
 import (
+	"reflect"
 	"testing"
 
 	"shearwarp/internal/classify"
@@ -54,6 +55,33 @@ func TestFingerprintMatchesAcrossEncoders(t *testing.T) {
 	x, z := Encode(c, xform.AxisX), Encode(c, xform.AxisZ)
 	if x.Fingerprint() == z.Fingerprint() {
 		t.Error("x and z encodings share a fingerprint")
+	}
+}
+
+// TestMemoryBytesCountsEveryArray holds MemoryBytes — what the volcache
+// byte budget charges an encoding — to the size of every slice field of
+// Volume, so an index added to the encoding cannot go unaccounted. The
+// line-pair index (16 B per component, about one component per span) is
+// why the encoding bytes the cache and ./bench report (volcache.bytes,
+// rle.bytes) grew when it was added: 1.37 → 1.75 MB for the 128³ CT
+// phantom's encoding, 16.4 → 17.8 MB for the 256³ MRI one.
+func TestMemoryBytesCountsEveryArray(t *testing.T) {
+	c := classify.Classify(vol.MRIBrain(24), classify.Options{})
+	for _, axis := range []xform.Axis{xform.AxisX, xform.AxisY, xform.AxisZ} {
+		v := Encode(c, axis)
+		var want int64
+		rv := reflect.ValueOf(*v)
+		for i := 0; i < rv.NumField(); i++ {
+			if f := rv.Field(i); f.Kind() == reflect.Slice {
+				want += int64(f.Len()) * int64(f.Type().Elem().Size())
+			}
+		}
+		if len(v.Pairs) == 0 {
+			t.Fatalf("axis %v: no line-pair components", axis)
+		}
+		if got := v.MemoryBytes(); got != want {
+			t.Errorf("axis %v: MemoryBytes %d, slice fields hold %d bytes", axis, got, want)
+		}
 	}
 }
 

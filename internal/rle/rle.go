@@ -51,11 +51,27 @@ type Volume struct {
 	SpanCnt []int32
 	SpanVox []int32
 
+	// Encode-time line-pair index: for each pair of neighbouring lines
+	// (s, s+1) of one slice — the two lines a slice visit with a fractional
+	// row weight resamples together — the sorted components of the union of
+	// [SpanLo-1, SpanLo+SpanCnt) over both lines' spans. Pair s owns
+	// Pairs[PairOff[s]:PairOff[s+1]]; the last line of a slice owns none.
+	// The compositor reads a visit's merged intervals from it instead of
+	// merging the two span streams.
+	PairOff []int32
+	Pairs   []PairComp
+
 	// MaxLineRuns is the largest run-header count of any scanline, set by
 	// the encoders. Compositing contexts size their span scratch from it so
 	// steady-state frames never grow an append.
 	MaxLineRuns int
 }
+
+// PairComp is one component of a line pair's span union: the voxel
+// interval [Lo, Hi), and per line the index, within the line's span window,
+// of its first span that does not lie before the component (S0 for line s,
+// S1 for line s+1).
+type PairComp struct{ Lo, Hi, S0, S1 int32 }
 
 // Encode builds the run-length encoding of c for the given principal axis
 // on the calling goroutine.
@@ -69,7 +85,8 @@ func Encode(c *classify.Classified, axis xform.Axis) *Volume {
 // exact-sized arrays: the first counts each scanline's run headers, voxels
 // and spans into RunOff/VoxOff/SpanOff[s+1], a serial prefix sum turns the
 // counts into offsets, and the second writes every scanline's runs, voxels
-// and spans in place.
+// and spans in place. The pair index is then built from the spans the same
+// way: count, prefix sum, write.
 func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume {
 	ni, nj, nk := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
 	if ni > 0xffff {
@@ -86,14 +103,16 @@ func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume 
 		RunOff:  make([]int32, nk*nj+1),
 		VoxOff:  make([]int32, nk*nj+1),
 		SpanOff: make([]int32, nk*nj+1),
+		PairOff: make([]int32, nk*nj+1),
 	}
 	var tiles []classify.Voxel // per-worker gather buffers, see forEachLine
 	if axis != xform.AxisZ {
 		tiles = make([]classify.Voxel, procs*tileLines*ni)
 	}
-	pass := func(line func(s int, vox []classify.Voxel)) {
+	// fan runs work(p, k0, k1) for worker p's slices [k0, k1).
+	fan := func(work func(p, k0, k1 int)) {
 		if procs == 1 {
-			forEachLine(c, axis, 0, nk, tiles, line)
+			work(0, 0, nk)
 			return
 		}
 		var wg sync.WaitGroup
@@ -101,11 +120,15 @@ func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume 
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				forEachLine(c, axis, p*nk/procs, (p+1)*nk/procs,
-					tiles[p*len(tiles)/procs:(p+1)*len(tiles)/procs], line)
+				work(p, p*nk/procs, (p+1)*nk/procs)
 			}(p)
 		}
 		wg.Wait()
+	}
+	pass := func(line func(s int, vox []classify.Voxel)) {
+		fan(func(p, k0, k1 int) {
+			forEachLine(c, axis, k0, k1, tiles[p*len(tiles)/procs:(p+1)*len(tiles)/procs], line)
+		})
 	}
 
 	pass(v.countLine)
@@ -124,7 +147,72 @@ func EncodeParallel(c *classify.Classified, axis xform.Axis, procs int) *Volume 
 	v.SpanCnt = make([]int32, spans)
 	v.SpanVox = make([]int32, spans)
 	pass(v.writeLine)
+
+	fan(func(_, k0, k1 int) { v.pairSlices(k0, k1, false) })
+	for s := 0; s < nk*nj; s++ {
+		v.PairOff[s+1] += v.PairOff[s]
+	}
+	v.Pairs = make([]PairComp, v.PairOff[nk*nj])
+	fan(func(_, k0, k1 int) { v.pairSlices(k0, k1, true) })
 	return v
+}
+
+// pairSlices runs the pair index's count pass (write false: each pair's
+// component count into PairOff[s+1]) or its write pass over the line pairs
+// of slices [k0, k1).
+func (v *Volume) pairSlices(k0, k1 int, write bool) {
+	for k := k0; k < k1; k++ {
+		for s := k * v.Nj; s < (k+1)*v.Nj-1; s++ {
+			if write {
+				v.pairLine(s, v.Pairs[v.PairOff[s]:v.PairOff[s+1]])
+			} else {
+				v.PairOff[s+1] = v.pairLine(s, nil)
+			}
+		}
+	}
+}
+
+// pairLine merges the spans of lines s and s+1 into the components of the
+// union of [lo-1, lo+cnt) over both, writes them to dst unless dst is nil,
+// and returns how many there are. Two span intervals belong to one
+// component when they overlap or touch, exactly as the compositor coalesces
+// their pixel intervals.
+func (v *Volume) pairLine(s int, dst []PairComp) int32 {
+	a0, b0 := v.SpanOff[s], v.SpanOff[s+1]
+	a1, b1 := b0, v.SpanOff[s+2]
+	i0, i1 := a0, a1
+	n := int32(0)
+	for i0 < b0 || i1 < b1 {
+		// The component starts at the next span of either line in lo
+		// order and takes spans in that order while they touch it.
+		cp := PairComp{S0: i0 - a0, S1: i1 - a1}
+		for started := false; ; started = true {
+			take0 := i0 < b0 && (i1 >= b1 || v.SpanLo[i0] <= v.SpanLo[i1])
+			i := i1
+			if take0 {
+				i = i0
+			} else if i1 >= b1 {
+				break
+			}
+			lo, hi := v.SpanLo[i]-1, v.SpanLo[i]+v.SpanCnt[i]
+			if !started {
+				cp.Lo, cp.Hi = lo, hi
+			} else if lo > cp.Hi {
+				break
+			}
+			cp.Hi = max(cp.Hi, hi)
+			if take0 {
+				i0++
+			} else {
+				i1++
+			}
+		}
+		if dst != nil {
+			dst[n] = cp
+		}
+		n++
+	}
+	return n
 }
 
 // tileLines is how many scanlines the strided axes gather per sweep: 16

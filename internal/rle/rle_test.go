@@ -207,12 +207,13 @@ func TestScanlineIDLayout(t *testing.T) {
 
 // referenceEncode is the oracle for the encoder: one scanline at a time in
 // scanline order, gathered voxel by voxel through xform.ObjectIndex, every
-// array grown by append while the run headers are walked.
+// array grown by append while the run headers are walked; the pair index
+// from its definition, voxel by voxel, rather than by merging spans.
 func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
 	ni, nj, nk := xform.PermutedDims(axis, c.Nx, c.Ny, c.Nz)
 	v := &Volume{Axis: axis, Ni: ni, Nj: nj, Nk: nk, MinOpacity: c.MinOpacity,
 		RunLens: []uint16{}, Vox: []classify.Voxel{},
-		SpanLo: []int32{}, SpanCnt: []int32{}, SpanVox: []int32{}}
+		SpanLo: []int32{}, SpanCnt: []int32{}, SpanVox: []int32{}, Pairs: []PairComp{}}
 	for k := 0; k < nk; k++ {
 		for j := 0; j < nj; j++ {
 			v.RunOff = append(v.RunOff, int32(len(v.RunLens)))
@@ -243,6 +244,45 @@ func referenceEncode(c *classify.Classified, axis xform.Axis) *Volume {
 	v.RunOff = append(v.RunOff, int32(len(v.RunLens)))
 	v.VoxOff = append(v.VoxOff, int32(len(v.Vox)))
 	v.SpanOff = append(v.SpanOff, int32(len(v.SpanLo)))
+
+	// Pair (s, s+1) covers voxel position x in [-1, ni) when either line is
+	// non-transparent at x or x+1: that is the union of [lo-1, lo+cnt) over
+	// both lines' spans. Its components are the maximal covered runs; a
+	// line's spans before a component are those with lo-1 < Lo.
+	for k := 0; k < nk; k++ {
+		for j := 0; j < nj; j++ {
+			v.PairOff = append(v.PairOff, int32(len(v.Pairs)))
+			if j == nj-1 {
+				continue
+			}
+			opaque := func(line, x int) bool {
+				return x >= 0 && x < ni && !c.Transparent(c.At(xform.ObjectIndex(axis, x, line, k)))
+			}
+			covered := func(x int) bool {
+				return opaque(j, x) || opaque(j, x+1) || opaque(j+1, x) || opaque(j+1, x+1)
+			}
+			before := func(s, lo int) (n int32) {
+				for _, sl := range v.SpanLo[v.SpanOff[s]:v.SpanOff[s+1]] {
+					if int(sl)-1 < lo {
+						n++
+					}
+				}
+				return n
+			}
+			for x := -1; x < ni; x++ {
+				if !covered(x) {
+					continue
+				}
+				lo := x
+				for x < ni && covered(x) {
+					x++
+				}
+				s := k*nj + j
+				v.Pairs = append(v.Pairs, PairComp{Lo: int32(lo), Hi: int32(x), S0: before(s, lo), S1: before(s+1, lo)})
+			}
+		}
+	}
+	v.PairOff = append(v.PairOff, int32(len(v.Pairs)))
 	return v
 }
 

@@ -105,24 +105,33 @@ func (c *Ctx) WarpSpan(y, x0, x1 int, cnt *Counters) {
 }
 
 // warpSpanUntraced is the native fast path: no tracer checks, no extent
-// tracking, and a branch-free 4-tap bilinear gather for interior pixels.
+// tracking, and a branch-free 4-tap bilinear gather for interior pixels —
+// warpRow, which on amd64 is the SSE2 warp (warp_amd64.s).
 func (c *Ctx) warpSpanUntraced(y, x0, x1 int, cnt *Counters) {
 	inv := &c.F.WarpInv
-	// Incremental mapping along the row: (u, v) advances by (inv[0], inv[3])
-	// per pixel.
 	u := inv[0]*float64(x0) + inv[1]*float64(y) + inv[2]
 	v := inv[3]*float64(x0) + inv[4]*float64(y) + inv[5]
-	M, out := c.M, c.Out
+	outBase := y * c.Out.W
+	pixels, background := c.warpRow(c.Out.Pix[4*(outBase+x0):4*(outBase+x1)], u, v)
+	cnt.Pixels += pixels
+	cnt.Background += background
+	cnt.Cycles += pixels*CyclesPerPixel + background*CyclesPerBackground
+}
+
+// warpRowRef is the Go warp kernel — what the untraced path runs off amd64
+// and under -race, and the reference the SSE2 warp is held to byte for byte.
+// It warps the output pixels of outRow (four bytes each, alpha untouched),
+// the first at intermediate coordinates (u, v), and returns how many were
+// resampled (interior and border) and how many background pixels.
+func (c *Ctx) warpRowRef(outRow []uint8, u, v float64) (pixels, background int64) {
+	M := c.M
 	W, H := M.W, M.H
 	pix := M.Pix
-	du, dv := inv[0], inv[3]
-	outBase := y * out.W
-	// One bounds check for the whole row's stores; the per-pixel capped
-	// reslice below is check-free.
-	outRow := out.Pix[4*(outBase+x0) : 4*(outBase+x1)]
-	var pixels, background int64
-	// Advancing the output window by 4 each pixel lets the compiler prove
-	// the three channel stores in bounds from the loop condition alone.
+	du, dv := c.F.WarpInv[0], c.F.WarpInv[3]
+	// Incremental mapping along the row: (u, v) advances by (du, dv) per
+	// pixel. Advancing the output window by 4 each pixel lets the compiler
+	// prove the three channel stores in bounds from the loop condition
+	// alone.
 	for ; len(outRow) >= 4; outRow, u, v = outRow[4:], u+du, v+dv {
 		u0 := int(math.Floor(u))
 		v0 := int(math.Floor(v))
@@ -159,9 +168,7 @@ func (c *Ctx) warpSpanUntraced(y, x0, x1 int, cnt *Counters) {
 		outRow[2] = quant255(b)
 		pixels++
 	}
-	cnt.Pixels += pixels
-	cnt.Background += background
-	cnt.Cycles += pixels*CyclesPerPixel + background*CyclesPerBackground
+	return pixels, background
 }
 
 // gatherClamped handles the image-border pixels of the fast path, where

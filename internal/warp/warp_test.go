@@ -16,7 +16,7 @@ import (
 
 // composited builds a factorization and a composited intermediate image for
 // the MRI phantom at the given view.
-func composited(t *testing.T, n int, yaw, pitch float64) (*xform.Factorization, *img.Intermediate) {
+func composited(t testing.TB, n int, yaw, pitch float64) (*xform.Factorization, *img.Intermediate) {
 	t.Helper()
 	v := vol.MRIBrain(n)
 	c := classify.Classify(v, classify.Options{})
