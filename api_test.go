@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -266,6 +267,41 @@ func TestRunFigureCSV(t *testing.T) {
 	s := buf.String()
 	if !strings.Contains(s, "scanlines,cycles,profile") {
 		t.Fatalf("CSV header missing: %q", s[:min(len(s), 150)])
+	}
+}
+
+// TestResultsDefaultPinned requires the default-scale tables to equal the
+// checked-in results_default.txt byte for byte. The simulators are
+// deterministic, so a difference is a change in what a simulated algorithm
+// does or costs: regenerate the file (EXPERIMENTS.md "Regenerating") and
+// correct the numbers EXPERIMENTS.md quotes in the same change.
+func TestResultsDefaultPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates every figure at the default scale")
+	}
+	want, err := os.ReadFile("results_default.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RunFigureFormat("all", "default", "text", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(exp)) {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("results_default.txt line %d:\n got  %q\n want %q", i+1, g, e)
+		}
 	}
 }
 
