@@ -94,7 +94,7 @@ func TestLargeRotationStepsStayExact(t *testing.T) {
 
 func TestPitchChangeTriggersReprofile(t *testing.T) {
 	r := render.New(vol.MRIBrain(16), render.Options{})
-	nr := NewRenderer(r, Config{Procs: 2, ReprofileDeg: 15})
+	nr := NewRenderer(r, Config{Procs: 2})
 	nr.RenderFrame(0.3, 0.0)
 	res := nr.RenderFrame(0.3, 0.35) // ~20 degrees of pitch
 	if !res.Profiled {

@@ -2,7 +2,6 @@ package newalg
 
 import (
 	"context"
-	"math"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -15,28 +14,17 @@ import (
 	"shearwarp/internal/render"
 	"shearwarp/internal/telemetry"
 	"shearwarp/internal/warp"
-	"shearwarp/internal/xform"
 )
 
 // Config tunes the new parallel algorithm.
 type Config struct {
-	Procs         int     // number of workers; 0 means 1
-	StealChunk    int     // scanlines per steal; 0 selects StealChunkSize
-	LineBytes     int     // cache line size hint for the steal heuristic; 0 = 64
-	ReprofileDeg  float64 // degrees of rotation between profiles; 0 = 15
-	DisableSteal  bool    // turn off stealing (ablation)
-	AlwaysProfile bool    // profile every frame (ablation)
+	Procs         int  // number of workers; 0 means 1
+	AlwaysProfile bool // profile every frame (ablation)
 }
 
 func (c *Config) normalize() {
 	if c.Procs < 1 {
 		c.Procs = 1
-	}
-	if c.LineBytes == 0 {
-		c.LineBytes = 64
-	}
-	if c.ReprofileDeg == 0 {
-		c.ReprofileDeg = 15
 	}
 }
 
@@ -83,11 +71,11 @@ type workerRec struct {
 	cleared bool
 }
 
-// Renderer carries the cross-frame state of the new algorithm: the last
-// collected per-scanline profile and the viewpoint it was collected at,
-// plus the reusable per-frame resources (images, partition scratch, band
-// queue, worker pool) that make the steady-state frame loop allocation
-// free.
+// Renderer carries the cross-frame state of the new algorithm: the
+// schedule planner, which holds the last collected per-scanline profile and
+// the viewpoint it was collected at, plus the reusable per-frame resources
+// (images, contexts, worker pool) that make the steady-state frame loop
+// allocation free.
 type Renderer struct {
 	R   *render.Renderer
 	Cfg Config
@@ -105,37 +93,21 @@ type Renderer struct {
 	// byte-identically; swap it only between frames.
 	Spans *telemetry.FrameSpans
 
-	profile    []int64
-	profAxis   xform.Axis
-	profYaw    float64
-	profPitch  float64
-	profValid  bool
-	profImageH int
-	profSj     float64 // v-axis shear of the profiled frame
-	profTv     float64 // v-axis translation of the profiled frame
-
 	// Reusable per-frame state. Workers read the per-frame fields after
 	// receiving a start token (the channel send publishes them) and the
 	// main goroutine reads worker results after frameWG.Wait.
-	fr         render.Frame
-	res        Result
-	boundaries []int
-	padBuf     []int64 // zero-extended profile scratch
-	cumBuf     []int64 // prefix-sum scratch
-	profBuf    []int64 // profile double buffer, swapped with profile
-	bands      *par.Bands
-	tb         warp.TaskBuilder
-	warpTasks  []warp.Task
-	profiling  bool
-	bmu        sync.Mutex
-	bandDone   []atomic.Bool   // per-band completion flags, replace the barrier
-	bandCond   *sync.Cond      // signals band completion and frame aborts; locker is bmu
-	clearWG    sync.WaitGroup  // rendezvous after the parallel image clear
-	frameWG    sync.WaitGroup  // frame completion
-	ctxPool    sync.Pool       // *composite.Ctx
-	start      []chan struct{} // per-worker frame-start tokens
-	wstate     []workerRec     // per-worker failure bookkeeping
-	traceCtx   context.Context // runtime/trace task context of the current frame
+	fr       render.Frame
+	res      Result
+	plan     Planner
+	bmu      sync.Mutex
+	bandDone []atomic.Bool   // per-band completion flags, replace the barrier
+	bandCond *sync.Cond      // signals band completion and frame aborts; locker is bmu
+	clearWG  sync.WaitGroup  // rendezvous after the parallel image clear
+	frameWG  sync.WaitGroup  // frame completion
+	ctxPool  sync.Pool       // *composite.Ctx
+	start    []chan struct{} // per-worker frame-start tokens
+	wstate   []workerRec     // per-worker failure bookkeeping
+	traceCtx context.Context // runtime/trace task context of the current frame
 
 	// Cooperative cancellation and panic isolation. abortFlag is the
 	// shared cancel flag every worker polls at scanline granularity (one
@@ -151,32 +123,17 @@ type Renderer struct {
 // NewRenderer wraps a render.Renderer with the new algorithm's state.
 func NewRenderer(r *render.Renderer, cfg Config) *Renderer {
 	cfg.normalize()
-	return &Renderer{R: r, Cfg: cfg}
-}
-
-// needProfile decides whether this frame must (re-)collect the profile.
-func (nr *Renderer) needProfile(f *xform.Factorization, yaw, pitch float64) bool {
-	if nr.Cfg.AlwaysProfile || !nr.profValid {
-		return true
-	}
-	if nr.profAxis != f.Axis {
-		return true // principal axis flip invalidates the profile entirely
-	}
-	if d := nr.profImageH - f.IntH; d > MaxImageDrift || d < -MaxImageDrift {
-		return true // the sheared image changed size drastically
-	}
-	limit := nr.Cfg.ReprofileDeg * math.Pi / 180
-	return math.Abs(yaw-nr.profYaw) >= limit || math.Abs(pitch-nr.profPitch) >= limit
+	return &Renderer{R: r, Cfg: cfg, plan: NewPlanner(cfg, 0, 0, 0)}
 }
 
 // RenderFrame renders one frame with native goroutines. The output is
 // bit-identical to the serial renderer's for the same viewpoint.
 //
-// Frames after the first allocate nothing: the images, partition scratch,
-// band queue and warp tasks live on the renderer, compositing contexts come
-// from a pool, and the workers are persistent goroutines woken by buffered
-// start tokens. The returned Result points into that reusable storage and
-// is valid until the next RenderFrame call.
+// Frames after the first allocate nothing: the images and the planner's
+// partition scratch, band queue and warp tasks live on the renderer,
+// compositing contexts come from a pool, and the workers are persistent
+// goroutines woken by buffered start tokens. The returned Result points into
+// that reusable storage and is valid until the next RenderFrame call.
 //
 // RenderFrame is the uncancellable entry point: it runs under
 // context.Background and re-panics a *render.FrameError if a worker
@@ -282,15 +239,7 @@ func (nr *Renderer) RenderFrameCtx(ctx context.Context, yaw, pitch float64) (*Re
 		return nil, err
 	}
 
-	if nr.profiling {
-		fr := &nr.fr
-		nr.profile, nr.profBuf = nr.profBuf, nr.profile
-		nr.profAxis = fr.F.Axis
-		nr.profYaw, nr.profPitch = yaw, pitch
-		nr.profImageH = fr.M.H
-		nr.profSj, nr.profTv = fr.F.Sj, fr.F.Tv
-		nr.profValid = true
-	}
+	nr.plan.Commit()
 	return &nr.res, nil
 }
 
@@ -329,72 +278,12 @@ func (nr *Renderer) runSetup(yaw, pitch float64) {
 		res.PerProc = make([]ProcStats, cfg.Procs)
 	}
 
-	profiling := nr.needProfile(&fr.F, yaw, pitch)
-	nr.profiling = profiling
-	res.Profiled = profiling
+	pl := &nr.plan
+	pl.Plan(fr, yaw, pitch)
+	res.Profiled = pl.Profiling
+	res.Boundaries = pl.Boundaries
+	res.Region = pl.Region
 
-	if cap(nr.boundaries) >= cfg.Procs+1 {
-		nr.boundaries = nr.boundaries[:cfg.Procs+1]
-	} else {
-		nr.boundaries = make([]int, cfg.Procs+1)
-	}
-
-	// Choose the partition: profile-balanced over the non-empty region when
-	// a profile exists, uniform otherwise. The region from the profiled
-	// frame is expanded by a sound geometric bound on how far any voxel's
-	// v coordinate can have moved since (v = j + Sj*k + Tv, so the shift is
-	// at most max(|ΔTv|, |ΔSj|*(Nk-1) + |ΔTv|)), keeping the skip exact:
-	// a scanline outside the expanded region cannot receive samples.
-	var region Region
-	drift := 0
-	if nr.profValid {
-		drift = nr.profImageH - fr.M.H
-		if drift < 0 {
-			drift = -drift
-		}
-	}
-	if nr.profValid && nr.profAxis == fr.F.Axis && drift <= MaxImageDrift {
-		region = FindRegion(nr.profile)
-		if region.Hi > region.Lo {
-			shift0 := math.Abs(fr.F.Tv - nr.profTv)
-			shiftN := math.Abs((fr.F.Sj-nr.profSj)*float64(fr.F.Nk-1) + (fr.F.Tv - nr.profTv))
-			b := int(math.Ceil(math.Max(shift0, shiftN))) + 1
-			region.Lo = max(region.Lo-b, 0)
-			region.Hi = min(region.Hi+b, fr.M.H)
-		}
-		// Zero-extend the profile into scratch when the image has grown.
-		pp := nr.profile
-		if len(pp) < region.Hi {
-			if cap(nr.padBuf) >= region.Hi {
-				nr.padBuf = nr.padBuf[:region.Hi]
-			} else {
-				nr.padBuf = make([]int64, region.Hi)
-			}
-			copy(nr.padBuf, pp)
-			clear(nr.padBuf[len(pp):])
-			pp = nr.padBuf
-		}
-		if n := region.Hi - region.Lo; cap(nr.cumBuf) < n {
-			nr.cumBuf = make([]int64, n)
-		}
-		partitionInto(nr.boundaries, nr.cumBuf[:cap(nr.cumBuf)], pp, region, cfg.Procs)
-	} else {
-		region = Region{0, fr.M.H}
-		uniformInto(nr.boundaries, fr.M.H, cfg.Procs)
-	}
-	res.Boundaries = nr.boundaries
-	res.Region = region
-
-	steal := cfg.StealChunk
-	if steal < 1 {
-		steal = StealChunkSize(region.Hi-region.Lo, cfg.Procs, cfg.LineBytes)
-	}
-
-	if nr.bands == nil {
-		nr.bands = par.NewBands(nr.boundaries, steal)
-	} else {
-		nr.bands.Reset(nr.boundaries, steal)
-	}
 	// Per-band completion flags replace the global barrier: a band's warp
 	// waiters block on bandCond until its flag is set (or the frame
 	// aborts). Bands that start empty are complete immediately.
@@ -402,21 +291,8 @@ func (nr *Renderer) runSetup(yaw, pitch float64) {
 		nr.bandDone = make([]atomic.Bool, cfg.Procs)
 	}
 	for p := 0; p < cfg.Procs; p++ {
-		nr.bandDone[p].Store(nr.bands.Complete(p))
+		nr.bandDone[p].Store(pl.Bands.Complete(p))
 	}
-
-	if profiling {
-		// Rows are written disjointly by the workers; rows outside the
-		// composited region must read as empty, hence the clear.
-		if cap(nr.profBuf) >= fr.M.H {
-			nr.profBuf = nr.profBuf[:fr.M.H]
-			clear(nr.profBuf)
-		} else {
-			nr.profBuf = make([]int64, fr.M.H)
-		}
-	}
-
-	nr.warpTasks = nr.tb.Partition(nr.boundaries)
 }
 
 // requestAbort aborts the frame identified by gen: external cancellation
@@ -583,7 +459,7 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 	reg = rtrace.StartRegion(ctx, "composite-own")
 	for !nr.abortFlag.Load() {
 		nr.bmu.Lock()
-		c, ok := nr.bands.TakeOwn(p)
+		c, ok := nr.plan.Bands.TakeOwn(p)
 		nr.bmu.Unlock()
 		if !ok {
 			break
@@ -601,30 +477,28 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 		sr.Record(p, "composite-own", telemetry.CatBusy, t0, now.Sub(t0))
 		t0 = now
 	}
-	if !nr.Cfg.DisableSteal {
-		st.phase = "steal"
-		reg = rtrace.StartRegion(ctx, "composite-steal")
-		for !nr.abortFlag.Load() {
-			nr.bmu.Lock()
-			c, band, ok := nr.bands.TakeSteal()
-			nr.bmu.Unlock()
-			if !ok {
-				break
-			}
-			st.band = band
-			if fi != nil {
-				fi.Visit("steal", p, band)
-			}
-			ps.Chunks++
-			ps.Steals++
-			nr.runChunk(cc, ps, p, c, band)
+	st.phase = "steal"
+	reg = rtrace.StartRegion(ctx, "composite-steal")
+	for !nr.abortFlag.Load() {
+		nr.bmu.Lock()
+		c, band, ok := nr.plan.Bands.TakeSteal()
+		nr.bmu.Unlock()
+		if !ok {
+			break
 		}
-		reg.End()
-		if sr != nil {
-			now := time.Now()
-			sr.Record(p, "composite-steal", telemetry.CatBusy, t0, now.Sub(t0))
-			t0 = now
+		st.band = band
+		if fi != nil {
+			fi.Visit("steal", p, band)
 		}
+		ps.Chunks++
+		ps.Steals++
+		nr.runChunk(cc, ps, p, c, band)
+	}
+	reg.End()
+	if sr != nil {
+		now := time.Now()
+		sr.Record(p, "composite-steal", telemetry.CatBusy, t0, now.Sub(t0))
+		t0 = now
 	}
 	nr.ctxPool.Put(cc)
 	st.band = -1
@@ -634,7 +508,7 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 	// Interior tasks need only the own band; boundary slivers also need
 	// the adjacent band.
 	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
-	for _, tk := range nr.warpTasks {
+	for _, tk := range nr.plan.Tasks {
 		if tk.Owner != p {
 			continue
 		}
@@ -688,6 +562,7 @@ func (nr *Renderer) renderWorker(p int, st *workerRec) {
 // band incomplete rather than mis-reporting rows it never composited.
 func (nr *Renderer) runChunk(cc *composite.Ctx, ps *ProcStats, p int, c par.Chunk, band int) {
 	fi := nr.Faults
+	pl := &nr.plan
 	for row := c.Lo; row < c.Hi; row++ {
 		if nr.abortFlag.Load() {
 			return
@@ -697,19 +572,12 @@ func (nr *Renderer) runChunk(cc *composite.Ctx, ps *ProcStats, p int, c par.Chun
 		}
 		before := ps.Composite.Samples
 		cycles := cc.Scanline(row, &ps.Composite)
-		if nr.profiling {
-			// A scanline that composited no samples is empty: zero in the
-			// profile so the region excludes it.
-			if ps.Composite.Samples == before {
-				nr.profBuf[row] = 0
-			} else {
-				nr.profBuf[row] = cycles
-			}
-			ps.Profiled += ProfileOverheadCycles(cycles)
+		if pl.Profiling {
+			ps.Profiled += pl.Record(row, cycles, ps.Composite.Samples != before)
 		}
 	}
 	nr.bmu.Lock()
-	if nr.bands.MarkDone(band, c.Hi-c.Lo) {
+	if nr.plan.Bands.MarkDone(band, c.Hi-c.Lo) {
 		nr.bandDone[band].Store(true)
 		nr.bandCond.Broadcast()
 	}
@@ -719,4 +587,4 @@ func (nr *Renderer) runChunk(cc *composite.Ctx, ps *ProcStats, p int, c par.Chun
 // Profile returns the current per-scanline cost profile (nil before the
 // first profiled frame). The returned slice is reused as scratch by later
 // profiled frames; callers must not modify or retain it.
-func (nr *Renderer) Profile() []int64 { return nr.profile }
+func (nr *Renderer) Profile() []int64 { return nr.plan.Profile() }

@@ -35,7 +35,7 @@ func TestAnimationMatchesSerialEveryFrame(t *testing.T) {
 
 func TestProfilingCadence(t *testing.T) {
 	r := render.New(vol.MRIBrain(20), render.Options{})
-	nr := NewRenderer(r, Config{Procs: 2, ReprofileDeg: 15})
+	nr := NewRenderer(r, Config{Procs: 2})
 	profiled := 0
 	// 7-degree steps: profile on frame 0, then every ~2-3 frames.
 	for _, v := range render.Rotation(8, 0.1, 0.2, 7) {
@@ -51,7 +51,7 @@ func TestProfilingCadence(t *testing.T) {
 
 func TestProfileDrivenPartitionIsBalanced(t *testing.T) {
 	r := render.New(vol.MRIBrain(32), render.Options{})
-	nr := NewRenderer(r, Config{Procs: 4, DisableSteal: true})
+	nr := NewRenderer(r, Config{Procs: 4})
 	nr.RenderFrame(0.3, 0.2)         // profiling frame (uniform partition)
 	res := nr.RenderFrame(0.33, 0.2) // profile-balanced frame
 	if res.Profiled {
@@ -68,7 +68,10 @@ func TestProfileDrivenPartitionIsBalanced(t *testing.T) {
 	}
 	// Compare with the uniform partition over the whole image: it must be
 	// clearly worse (the empty borders plus the cost hump).
-	uni := UniformPartition(len(actual), 4)
+	uni := make([]int, 5)
+	for p := range uni {
+		uni[p] = p * len(actual) / 4
+	}
 	if ibu := Imbalance(actual, uni); ibu <= ib {
 		t.Fatalf("uniform imbalance %.2f not worse than profiled %.2f", ibu, ib)
 	}
@@ -91,9 +94,10 @@ func TestRegionSkipsEmptyBorders(t *testing.T) {
 
 func TestStealingOccursUnderSkew(t *testing.T) {
 	// With a uniform partition on the first (profiling) frame, the empty
-	// borders make outer bands finish early, so they steal.
+	// borders make outer bands finish early, so they steal (one row at a
+	// time: the steal heuristic's floor at this size).
 	r := render.New(vol.MRIBrain(32), render.Options{})
-	nr := NewRenderer(r, Config{Procs: 8, StealChunk: 1})
+	nr := NewRenderer(r, Config{Procs: 8})
 	res := nr.RenderFrame(0.4, 0.2)
 	steals := 0
 	for _, ps := range res.PerProc {
@@ -184,42 +188,27 @@ func TestPartitionZeroProfileFallsBack(t *testing.T) {
 }
 
 func TestStealChunkSizeHeuristic(t *testing.T) {
-	if c := StealChunkSize(0, 4, 64); c != 1 {
+	if c := stealChunkSize(0, 4, 64); c != 1 {
 		t.Fatal("empty region must give chunk 1")
 	}
-	if c := StealChunkSize(512, 4, 64); c < 1 || c > 32 {
+	if c := stealChunkSize(512, 4, 64); c < 1 || c > 32 {
 		t.Fatalf("chunk %d out of bounds", c)
 	}
-	small := StealChunkSize(512, 32, 64)
-	big := StealChunkSize(512, 2, 64)
+	small := stealChunkSize(512, 32, 64)
+	big := stealChunkSize(512, 2, 64)
 	if small > big {
 		t.Fatal("chunk should shrink with more processors")
 	}
-	coarse := StealChunkSize(512, 8, 4096)
-	fine := StealChunkSize(512, 8, 64)
+	coarse := stealChunkSize(512, 8, 4096)
+	fine := stealChunkSize(512, 8, 64)
 	if coarse < fine {
 		t.Fatal("coarser coherence granularity should coarsen steals")
 	}
 }
 
-func TestDisableStealStillCorrect(t *testing.T) {
-	r := render.New(vol.MRIBrain(20), render.Options{})
-	nr := NewRenderer(r, Config{Procs: 4, DisableSteal: true})
-	res := nr.RenderFrame(0.5, 0.1)
-	want, _ := r.RenderSerial(0.5, 0.1)
-	if !img.Equal(want, res.Out) {
-		t.Fatal("no-steal image differs from serial")
-	}
-	for _, ps := range res.PerProc {
-		if ps.Steals != 0 {
-			t.Fatal("stealing happened despite DisableSteal")
-		}
-	}
-}
-
 func TestProfileOverheadInBand(t *testing.T) {
 	// 12.5% is inside the paper's 10-15% measured overhead.
-	oh := ProfileOverheadCycles(1000)
+	oh := profileOverheadCycles(1000)
 	if oh < 100 || oh > 150 {
 		t.Fatalf("overhead %d of 1000 outside 10-15%%", oh)
 	}

@@ -21,14 +21,13 @@
 // Profiles are re-collected only when the viewpoint has rotated far enough
 // (default: every 15 degrees), charging the paper's 10-15% profiling
 // overhead only on those frames (section 4.2).
+//
+// Planner makes every one of these per-frame decisions. The goroutine
+// Renderer and the simulator (simrun.RunNew) both call it; neither keeps a
+// schedule of its own.
 package newalg
 
-import (
-	"math"
-	"sort"
-
-	"shearwarp/internal/par"
-)
+import "shearwarp/internal/par"
 
 // Region is the half-open scanline interval of the intermediate image that
 // actually receives samples.
@@ -64,50 +63,25 @@ func FindRegion(profile []int64) Region {
 // using a prefix sum over the region and equal-area binary search.
 // boundaries[p]..boundaries[p+1] is processor p's block; boundaries has
 // length nprocs+1 with boundaries[0] = region.Lo and boundaries[nprocs] =
-// region.Hi. prefixProcs controls the parallelism of the prefix sum.
+// region.Hi. prefixProcs controls the parallelism of the prefix sum. The
+// Planner makes the same split from reusable scratch with a serial prefix
+// sum, which is bit-identical for integer profiles.
 func Partition(profile []int64, region Region, nprocs, prefixProcs int) []int {
-	n := region.Hi - region.Lo
 	boundaries := make([]int, nprocs+1)
-	for p := range boundaries {
-		boundaries[p] = region.Lo
-	}
-	boundaries[nprocs] = region.Hi
-	if n <= 0 {
-		return boundaries
-	}
+	n := max(region.Hi-region.Lo, 0)
 	cum := make([]int64, n)
-	total := par.PrefixSum(cum, profile[region.Lo:region.Hi], prefixProcs)
-	if total == 0 {
-		// Degenerate: fall back to uniform splits.
-		for p := 1; p < nprocs; p++ {
-			boundaries[p] = region.Lo + p*n/nprocs
-		}
-		return boundaries
-	}
-	for p := 1; p < nprocs; p++ {
-		target := total * int64(p) / int64(nprocs)
-		// First scanline whose cumulative cost reaches the target.
-		idx := sort.Search(n, func(i int) bool { return cum[i] >= target })
-		if idx > n-1 {
-			idx = n - 1
-		}
-		boundaries[p] = region.Lo + idx
-	}
-	// Enforce monotonicity (very skewed profiles can collapse splits).
-	for p := 1; p <= nprocs; p++ {
-		if boundaries[p] < boundaries[p-1] {
-			boundaries[p] = boundaries[p-1]
-		}
-	}
+	total := par.PrefixSum(cum, profile[region.Lo:region.Lo+n], prefixProcs)
+	split(boundaries, cum, total, region)
 	return boundaries
 }
 
-// partitionInto is Partition with caller-owned scratch: boundaries must
-// have length nprocs+1 and cum capacity for the region. The prefix sum runs
-// serially (bit-identical to the parallel one for integer profiles) and the
-// binary search is hand-rolled so no closure forms — the steady-state frame
-// loop calls this every frame without allocating.
-func partitionInto(boundaries []int, cum []int64, profile []int64, region Region, nprocs int) {
+// split writes the equal-area boundaries of region for len(boundaries)-1
+// processors, given cum, the inclusive prefix sum of the region's profile,
+// and its total: block p ends at the first scanline whose cumulative cost
+// reaches p/nprocs of the total. The search is hand-rolled so no closure
+// forms and the Planner's frame loop stays allocation-free.
+func split(boundaries []int, cum []int64, total int64, region Region) {
+	nprocs := len(boundaries) - 1
 	n := region.Hi - region.Lo
 	for p := range boundaries {
 		boundaries[p] = region.Lo
@@ -116,8 +90,6 @@ func partitionInto(boundaries []int, cum []int64, profile []int64, region Region
 	if n <= 0 {
 		return
 	}
-	cum = cum[:n]
-	total := par.Scan(cum, profile[region.Lo:region.Hi])
 	if total == 0 {
 		// Degenerate: fall back to uniform splits.
 		for p := 1; p < nprocs; p++ {
@@ -127,7 +99,6 @@ func partitionInto(boundaries []int, cum []int64, profile []int64, region Region
 	}
 	for p := 1; p < nprocs; p++ {
 		target := total * int64(p) / int64(nprocs)
-		// First scanline whose cumulative cost reaches the target.
 		lo, hi := 0, n
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -137,11 +108,7 @@ func partitionInto(boundaries []int, cum []int64, profile []int64, region Region
 				hi = mid
 			}
 		}
-		idx := lo
-		if idx > n-1 {
-			idx = n - 1
-		}
-		boundaries[p] = region.Lo + idx
+		boundaries[p] = region.Lo + min(lo, n-1)
 	}
 	// Enforce monotonicity (very skewed profiles can collapse splits).
 	for p := 1; p <= nprocs; p++ {
@@ -149,24 +116,6 @@ func partitionInto(boundaries []int, cum []int64, profile []int64, region Region
 			boundaries[p] = boundaries[p-1]
 		}
 	}
-}
-
-// uniformInto writes UniformPartition's boundaries into caller scratch of
-// length nprocs+1.
-func uniformInto(boundaries []int, height, nprocs int) {
-	for p := 0; p <= nprocs; p++ {
-		boundaries[p] = p * height / nprocs
-	}
-}
-
-// UniformPartition splits rows [0, height) evenly — the initial assignment
-// used before any profile exists.
-func UniformPartition(height, nprocs int) []int {
-	boundaries := make([]int, nprocs+1)
-	for p := 0; p <= nprocs; p++ {
-		boundaries[p] = p * height / nprocs
-	}
-	return boundaries
 }
 
 // Imbalance returns max-block-cost / mean-block-cost for a partition over a
@@ -190,11 +139,11 @@ func Imbalance(profile []int64, boundaries []int) float64 {
 	return float64(maxBlock) * float64(p) / float64(total)
 }
 
-// StealChunkSize picks the task-stealing granularity, which the paper ties
+// stealChunkSize picks the task-stealing granularity, which the paper ties
 // to the data set size, the processor count and the cache line size
 // (section 4.4): roughly one chunk of scanlines that covers a few cache
 // lines of intermediate image per steal, shrinking as processors multiply.
-func StealChunkSize(regionRows, nprocs, lineBytes int) int {
+func stealChunkSize(regionRows, nprocs, lineBytes int) int {
 	if regionRows <= 0 {
 		return 1
 	}
@@ -211,29 +160,14 @@ func StealChunkSize(regionRows, nprocs, lineBytes int) int {
 	return c
 }
 
-// ProfileOverheadCycles models the instrumentation cost of profiling a
+// profileOverheadCycles models the instrumentation cost of profiling a
 // scanline whose un-instrumented cost was cycles: an eighth (12.5%), inside
 // the paper's measured 10-15% band.
-func ProfileOverheadCycles(cycles int64) int64 { return cycles / 8 }
+func profileOverheadCycles(cycles int64) int64 { return cycles / 8 }
 
-// ReprofileAngle is the default viewpoint rotation between profile
-// collections, in radians (the paper's "once every 15 degrees").
-var ReprofileAngle = 15 * math.Pi / 180
-
-// MaxImageDrift is how many scanlines the intermediate image height may
+// maxImageDrift is how many scanlines the intermediate image height may
 // change before a stale profile is considered unusable. Small rotations
 // grow or shrink the sheared image by a row or two; the region-expansion
 // bound already covers the content shift, so only large jumps (which the
 // angle threshold catches anyway) force an early re-profile.
-const MaxImageDrift = 16
-
-// PaddedProfile zero-extends a profile to length n (rows the profiled
-// frame did not have carry no cost information and partition as zero).
-func PaddedProfile(profile []int64, n int) []int64 {
-	if len(profile) >= n {
-		return profile
-	}
-	out := make([]int64, n)
-	copy(out, profile)
-	return out
-}
+const maxImageDrift = 16

@@ -48,7 +48,7 @@ func TestWarpTaskTouchesOnlyAwaitedRows(t *testing.T) {
 			fr := &nr.fr
 			bd := res.Boundaries
 			lo, hi := bd[0], bd[len(bd)-1]
-			for _, tk := range nr.warpTasks {
+			for _, tk := range nr.plan.Tasks {
 				allowed := func(row int) bool {
 					if row < lo || row >= hi {
 						return true

@@ -11,8 +11,9 @@
 //     round-robin; no stealing.
 //
 // This file is the native (goroutine) implementation used for correctness
-// testing and host benchmarks; sim.go drives the same scheduling logic on
-// the deterministic multiprocessor simulator.
+// testing and host benchmarks. The simulator's old algorithm
+// (simrun.RunOld) schedules with the same pieces: par.Interleaved sized by
+// DefaultChunkSize, and par.TileGrid at TileSize.
 package oldalg
 
 import (
@@ -33,9 +34,7 @@ import (
 
 // Config tunes the old parallel algorithm.
 type Config struct {
-	Procs     int // number of workers; 0 means 1
-	ChunkSize int // scanlines per compositing chunk; 0 selects a heuristic
-	TileSize  int // warp tile edge in pixels; 0 selects 32
+	Procs int // number of workers; 0 means 1
 	// Faults, when non-nil, injects deterministic faults at the worker
 	// phase sites (internal/faultinject). Nil-checked everywhere.
 	Faults *faultinject.Injector
@@ -47,9 +46,9 @@ type Config struct {
 	Spans *telemetry.FrameSpans
 }
 
-// DefaultChunkSize mirrors the paper's empirically-tuned task size: small
-// enough for load balance across P processors, large enough for spatial
-// locality.
+// DefaultChunkSize is the scanlines per compositing chunk. It mirrors the
+// paper's empirically-tuned task size: small enough for load balance across
+// P processors, large enough for spatial locality.
 func DefaultChunkSize(height, procs int) int {
 	c := height / (procs * 8)
 	if c < 1 {
@@ -61,17 +60,9 @@ func DefaultChunkSize(height, procs int) int {
 	return c
 }
 
-func (c *Config) normalize(fr *render.Frame) {
-	if c.Procs < 1 {
-		c.Procs = 1
-	}
-	if c.ChunkSize < 1 {
-		c.ChunkSize = DefaultChunkSize(fr.M.H, c.Procs)
-	}
-	if c.TileSize < 1 {
-		c.TileSize = 32
-	}
-}
+// TileSize is the edge, in pixels, of the square final-image tiles the warp
+// phase assigns round-robin.
+const TileSize = 32
 
 // ProcStats reports one worker's share of a frame.
 type ProcStats struct {
@@ -167,7 +158,9 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 	if sr != nil {
 		sr.Record(-1, "setup", telemetry.CatRequest, tSetup, time.Since(tSetup))
 	}
-	cfg.normalize(fr)
+	if cfg.Procs < 1 {
+		cfg.Procs = 1
+	}
 	res := &Result{Out: fr.Out, PerProc: make([]ProcStats, cfg.Procs)}
 
 	// One runtime/trace task per frame; worker phase regions attach to it.
@@ -177,10 +170,10 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 		tctx, task = rtrace.NewTask(tctx, "shearwarp.frame")
 	}
 
-	queue := par.NewInterleaved(0, fr.M.H, cfg.ChunkSize, cfg.Procs)
+	queue := par.NewInterleaved(0, fr.M.H, DefaultChunkSize(fr.M.H, cfg.Procs), cfg.Procs)
 	var qmu sync.Mutex
 	barrier := par.NewBarrier(cfg.Procs)
-	tiles := tileGrid(fr.Out.W, fr.Out.H, cfg.TileSize)
+	tiles := par.TileGrid(nil, fr.Out.W, fr.Out.H, TileSize)
 
 	var ab abortState
 	var stopWatch func() bool
@@ -342,17 +335,4 @@ func RenderCtx(ctx context.Context, r *render.Renderer, yaw, pitch float64, cfg 
 		return nil, err
 	}
 	return res, nil
-}
-
-// tileGrid enumerates the final image's square tiles row-major as
-// [x0, y0, x1, y1].
-func tileGrid(w, h, size int) [][4]int {
-	var tiles [][4]int
-	for y := 0; y < h; y += size {
-		y1 := min(y+size, h)
-		for x := 0; x < w; x += size {
-			tiles = append(tiles, [4]int{x, y, min(x+size, w), y1})
-		}
-	}
-	return tiles
 }

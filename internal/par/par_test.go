@@ -10,7 +10,7 @@ import (
 
 func TestInterleavedCoversAllRows(t *testing.T) {
 	for _, tc := range []struct{ lo, hi, chunk, procs int }{
-		{0, 100, 4, 3}, {5, 17, 5, 4}, {0, 1, 1, 8}, {0, 64, 64, 2}, {10, 10, 3, 2},
+		{0, 100, 4, 3}, {5, 17, 5, 4}, {0, 1, 1, 8}, {0, 64, 64, 2}, {10, 10, 3, 2}, {0, 37, 2, 4},
 	} {
 		q := NewInterleaved(tc.lo, tc.hi, tc.chunk, tc.procs)
 		covered := make([]int, tc.hi)
@@ -30,6 +30,38 @@ func TestInterleavedCoversAllRows(t *testing.T) {
 		}
 		if q.Remaining() != 0 {
 			t.Fatalf("%+v: %d chunks left", tc, q.Remaining())
+		}
+	}
+}
+
+// TestTileGridCoversImage: every pixel lies in exactly one tile, tiles run
+// row-major, and the scratch passed in is reused rather than appended to.
+// The sizes include 1 and 9, which divide neither side.
+func TestTileGridCoversImage(t *testing.T) {
+	var tiles [][4]int
+	for _, tc := range []struct{ w, h, size int }{
+		{100, 70, 32}, {37, 23, 9}, {13, 7, 1}, {5, 5, 32}, {64, 64, 8}, {0, 10, 4},
+	} {
+		tiles = TileGrid(tiles, tc.w, tc.h, tc.size)
+		cols := (tc.w + tc.size - 1) / tc.size
+		if want := cols * ((tc.h + tc.size - 1) / tc.size); len(tiles) != want {
+			t.Fatalf("%+v: %d tiles, want %d", tc, len(tiles), want)
+		}
+		covered := make([]int, tc.w*tc.h)
+		for i, tl := range tiles {
+			if tl[0] != i%cols*tc.size || tl[1] != i/cols*tc.size {
+				t.Fatalf("%+v: tile %d at (%d,%d), not row-major", tc, i, tl[0], tl[1])
+			}
+			for y := tl[1]; y < tl[3]; y++ {
+				for x := tl[0]; x < tl[2]; x++ {
+					covered[y*tc.w+x]++
+				}
+			}
+		}
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("%+v: pixel %d covered %d times", tc, i, c)
+			}
 		}
 	}
 }

@@ -103,6 +103,21 @@ func (q *Interleaved) Next(p int) (Chunk, bool, bool) {
 // Remaining reports how many chunks are still unclaimed.
 func (q *Interleaved) Remaining() int { return q.left }
 
+// TileGrid stores the size×size tiles of a w×h image in tiles[:0],
+// row-major as [x0, y0, x1, y1] with the edge tiles clipped, and returns
+// the slice. The old algorithm's warp and the ray caster hand these tiles
+// out round-robin, natively and on the simulator.
+func TileGrid(tiles [][4]int, w, h, size int) [][4]int {
+	tiles = tiles[:0]
+	for y := 0; y < h; y += size {
+		y1 := min(y+size, h)
+		for x := 0; x < w; x += size {
+			tiles = append(tiles, [4]int{x, y, min(x+size, w), y1})
+		}
+	}
+	return tiles
+}
+
 // Bands is the new algorithm's compositing assignment: one contiguous
 // partition of scanlines per processor, consumed from the front in steal-
 // chunk units; idle processors steal chunks from the tail of the band with

@@ -1,8 +1,9 @@
 // Package raycast implements the image-order volume rendering baseline the
-// paper compares against (Levoy-style ray casting, parallelized per Nieh &
-// Levoy): one orthographic ray per final-image pixel, marched through the
-// classified volume at unit spacing with trilinear resampling, min-max
-// octree space leaping and early ray termination.
+// paper compares against (Levoy-style ray casting; its Nieh & Levoy
+// parallel decomposition runs on the simulator as simrun.RunRayCast): one
+// orthographic ray per final-image pixel, marched through the classified
+// volume at unit spacing with trilinear resampling, min-max octree space
+// leaping and early ray termination.
 //
 // Its cycle accounting separates "looping time" (octree traversal,
 // addressing, stepping) from resampling/compositing work, reproducing the
@@ -14,12 +15,10 @@ package raycast
 
 import (
 	"math"
-	"sync"
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/img"
 	"shearwarp/internal/octree"
-	"shearwarp/internal/par"
 	"shearwarp/internal/rendermode"
 	"shearwarp/internal/xform"
 )
@@ -296,48 +295,4 @@ func quant(x float32) uint8 {
 		return 255
 	}
 	return uint8(v)
-}
-
-// RenderParallel renders with the Nieh & Levoy decomposition: square image
-// tiles in an interleaved assignment with stealing, one goroutine per
-// processor. Returns the image and per-processor counters.
-func (r *Renderer) RenderParallel(f *xform.Factorization, procs, tileSize int) (*img.Final, []Counters) {
-	if procs < 1 {
-		procs = 1
-	}
-	if tileSize < 1 {
-		tileSize = 32
-	}
-	out := img.NewFinal(f.FinalW, f.FinalH)
-	var tiles [][4]int
-	for y := 0; y < out.H; y += tileSize {
-		for x := 0; x < out.W; x += tileSize {
-			tiles = append(tiles, [4]int{x, y, min(x+tileSize, out.W), min(y+tileSize, out.H)})
-		}
-	}
-	per := make([]Counters, procs)
-	queue := par.NewInterleaved(0, len(tiles), 1, procs)
-	var mu sync.Mutex
-	done := make(chan int, procs)
-	for p := 0; p < procs; p++ {
-		go func(p int) {
-			for {
-				mu.Lock()
-				c, _, ok := queue.Next(p)
-				mu.Unlock()
-				if !ok {
-					break
-				}
-				for ti := c.Lo; ti < c.Hi; ti++ {
-					tl := tiles[ti]
-					r.RenderTile(f, out, tl[0], tl[1], tl[2], tl[3], &per[p])
-				}
-			}
-			done <- p
-		}(p)
-	}
-	for p := 0; p < procs; p++ {
-		<-done
-	}
-	return out, per
 }

@@ -87,25 +87,6 @@ func TestImageResemblesShearWarp(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	r, f := setup(t, 20, 0.5, 0.2)
-	var cnt Counters
-	want := r.Render(f, &cnt)
-	for _, procs := range []int{1, 3, 5} {
-		got, per := r.RenderParallel(f, procs, 16)
-		if !img.Equal(want, got) {
-			t.Fatalf("procs=%d: parallel ray-cast image differs", procs)
-		}
-		var total Counters
-		for _, c := range per {
-			total.Add(c)
-		}
-		if total.Rays != cnt.Rays {
-			t.Fatalf("procs=%d: rays %d, want %d", procs, total.Rays, cnt.Rays)
-		}
-	}
-}
-
 func TestEmptyVolumeFastAndBlack(t *testing.T) {
 	c := &classify.Classified{Nx: 32, Ny: 32, Nz: 32,
 		Voxels: make([]classify.Voxel, 32*32*32), MinOpacity: 4}

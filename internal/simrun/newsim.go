@@ -1,8 +1,6 @@
 package simrun
 
 import (
-	"math"
-
 	"shearwarp/internal/composite"
 	"shearwarp/internal/machines"
 	"shearwarp/internal/newalg"
@@ -11,14 +9,13 @@ import (
 	"shearwarp/internal/simengine"
 	"shearwarp/internal/svmsim"
 	"shearwarp/internal/warp"
-	"shearwarp/internal/xform"
 )
 
 // NewOptions configures a simulated run of the new parallel algorithm.
 type NewOptions struct {
 	Machine      machines.Machine
 	Procs        int
-	StealChunk   int     // 0 = newalg.StealChunkSize heuristic
+	StealChunk   int     // rows per steal; 0 = the planner's heuristic
 	ReprofileDeg float64 // 0 = 15 degrees
 	DisableSteal bool
 	// ForceBarrier re-inserts a global barrier between the compositing and
@@ -26,7 +23,8 @@ type NewOptions struct {
 	ForceBarrier bool
 
 	// granBytes is the coherence granularity fed to the steal-chunk
-	// heuristic; runOld/runNew set it from the machine or SVM page size.
+	// heuristic; RunNew and RunNewSVM set it from the machine's line or the
+	// SVM page size.
 	granBytes int
 }
 
@@ -65,30 +63,16 @@ type newSim struct {
 	opt NewOptions
 	be  backend
 
-	// Cross-frame profile state (mirrors newalg.Renderer).
-	profile    []int64
-	newProfile []int64
-	profValid  bool
-	profAxis   xform.Axis
-	profYaw    float64
-	profPitch  float64
-	profImageH int
-	profSj     float64
-	profTv     float64
+	// The per-frame schedule: the planner the goroutine renderer runs.
+	plan newalg.Planner
 
 	// Per-frame shared state.
-	inited      int
-	fr          *render.Frame
-	bands       *par.Bands
-	bandLock    simengine.Lock
-	conds       []simengine.Cond
-	boundaries  []int
-	region      newalg.Region
-	profiling   bool
-	usedProfile bool
-	warpTasks   []warp.Task
-	frameBar    simengine.Barrier
-	phaseBar    simengine.Barrier
+	inited   int
+	fr       *render.Frame
+	bandLock simengine.Lock
+	conds    []simengine.Cond
+	frameBar simengine.Barrier
+	phaseBar simengine.Barrier
 
 	frameEnds []int64
 	wu        warmup
@@ -114,7 +98,6 @@ func RunNewSVM(w *Workload, opt SVMOptions) *Result {
 	be := svmBackend{sys: svmsim.New(opt.Cfg)}
 	nw := NewOptions{
 		Procs: opt.Procs, StealChunk: opt.StealChunk,
-		ReprofileDeg: opt.ReprofileDeg, DisableSteal: opt.DisableSteal,
 		ForceBarrier: opt.ForceBarrier,
 		granBytes:    opt.Cfg.PageBytes,
 	}
@@ -122,18 +105,13 @@ func RunNewSVM(w *Workload, opt SVMOptions) *Result {
 }
 
 func runNew(w *Workload, opt NewOptions, be backend, barrierCost, lockCost int64) *Result {
-	if opt.ReprofileDeg == 0 {
-		opt.ReprofileDeg = 15
-	}
-	if opt.granBytes == 0 {
-		opt.granBytes = 64
-	}
 	w.resetImages()
 	e := simengine.New(opt.Procs)
 	e.BarrierCost = barrierCost
 	e.LockCost = lockCost
 
 	prog := &newSim{w: w, opt: opt, be: be, inited: -1}
+	prog.plan = newalg.NewPlanner(newalg.Config{Procs: opt.Procs}, opt.StealChunk, opt.ReprofileDeg, opt.granBytes)
 	prog.frameBar.Expected = opt.Procs
 	prog.frameBar.ExtraDelay = be.barrierExtra()
 	prog.phaseBar.Expected = opt.Procs
@@ -152,84 +130,23 @@ func runNew(w *Workload, opt NewOptions, be backend, barrierCost, lockCost int64
 	return collect(e, be, w.Frames[len(w.Frames)-1].Out, steals, prog.frameEnds, &prog.wu)
 }
 
-func (n *newSim) needProfile(fr *render.Frame, yaw, pitch float64) bool {
-	if !n.profValid || n.profAxis != fr.F.Axis {
-		return true
-	}
-	if d := n.profImageH - fr.M.H; d > newalg.MaxImageDrift || d < -newalg.MaxImageDrift {
-		return true
-	}
-	limit := n.opt.ReprofileDeg * math.Pi / 180
-	return math.Abs(yaw-n.profYaw) >= limit || math.Abs(pitch-n.profPitch) >= limit
-}
-
-// ensureFrame builds the shared per-frame state: partition, bands,
-// completion conditions and warp tasks (mirroring newalg's native path).
+// ensureFrame plans frame idx the first time any processor reaches it and
+// sets up the simulated completion conditions of its bands.
 func (n *newSim) ensureFrame(e *simengine.Engine, p *simengine.Proc, idx int) {
 	if idx <= n.inited {
 		return
 	}
 	n.inited = idx
 	n.fr = n.w.Frames[idx]
-	yaw, pitch := n.w.Views[idx][0], n.w.Views[idx][1]
-	n.profiling = n.needProfile(n.fr, yaw, pitch)
-
-	drift := 0
-	if n.profValid {
-		drift = n.profImageH - n.fr.M.H
-		if drift < 0 {
-			drift = -drift
-		}
-	}
-	n.usedProfile = n.profValid && n.profAxis == n.fr.F.Axis && drift <= newalg.MaxImageDrift
-	if n.usedProfile {
-		region := newalg.FindRegion(n.profile)
-		if region.Hi > region.Lo {
-			shift0 := math.Abs(n.fr.F.Tv - n.profTv)
-			shiftN := math.Abs((n.fr.F.Sj-n.profSj)*float64(n.fr.F.Nk-1) + (n.fr.F.Tv - n.profTv))
-			b := int(math.Ceil(math.Max(shift0, shiftN))) + 1
-			region.Lo = max(region.Lo-b, 0)
-			region.Hi = min(region.Hi+b, n.fr.M.H)
-		}
-		n.region = region
-		n.boundaries = newalg.Partition(newalg.PaddedProfile(n.profile, region.Hi), region, n.opt.Procs, 1)
-	} else {
-		n.region = newalg.Region{Lo: 0, Hi: n.fr.M.H}
-		n.boundaries = newalg.UniformPartition(n.fr.M.H, n.opt.Procs)
-	}
-
-	steal := n.opt.StealChunk
-	if steal < 1 {
-		steal = newalg.StealChunkSize(n.region.Hi-n.region.Lo, n.opt.Procs, n.opt.granBytes)
-	}
-	n.bands = par.NewBands(n.boundaries, steal)
+	n.plan.Plan(n.fr, n.w.Views[idx][0], n.w.Views[idx][1])
 	n.bandLock = simengine.Lock{}
 	n.conds = make([]simengine.Cond, n.opt.Procs)
 	for b := range n.conds {
-		if n.bands.Complete(b) {
+		if n.plan.Bands.Complete(b) {
 			e.CondSignal(&n.conds[b], p.Clock)
 		}
 	}
-	n.warpTasks = warp.PartitionTasks(n.boundaries)
-	if n.profiling {
-		n.newProfile = make([]int64, n.fr.M.H)
-	}
 	e.Work(p, frameSetupCycles)
-}
-
-// finishFrame commits the collected profile after the frame barrier.
-func (n *newSim) finishFrame(idx int) {
-	if !n.profiling || idx != n.inited {
-		return
-	}
-	fr := n.w.Frames[idx]
-	n.profile = n.newProfile
-	n.profValid = true
-	n.profAxis = fr.F.Axis
-	n.profYaw, n.profPitch = n.w.Views[idx][0], n.w.Views[idx][1]
-	n.profImageH = fr.M.H
-	n.profSj, n.profTv = fr.F.Sj, fr.F.Tv
-	n.profiling = false
 }
 
 // Step implements simengine.Program.
@@ -251,7 +168,7 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 		st.hasChunk = false
 		// Own warp tasks for this frame.
 		st.tasks = st.tasks[:0]
-		for _, tk := range n.warpTasks {
+		for _, tk := range n.plan.Tasks {
 			if tk.Owner == p.ID {
 				st.tasks = append(st.tasks, tk)
 			}
@@ -261,9 +178,9 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 		// The partition computation: each processor scans its share of the
 		// cumulative profile (parallel prefix, section 4.3) and finds its
 		// boundary by binary search.
-		if n.usedProfile {
-			share := (n.region.Hi - n.region.Lo) / n.opt.Procs
-			lo := n.region.Lo + p.ID*share
+		if n.plan.Balanced {
+			share := (n.plan.Region.Hi - n.plan.Region.Lo) / n.opt.Procs
+			lo := n.plan.Region.Lo + p.ID*share
 			st.tracer.SetNow(p.Clock)
 			st.tracer.Read(n.w.ProfileArray(), lo, max(share, 1))
 			e.Work(p, int64(2*share+30))
@@ -278,14 +195,14 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 			// private head against a shared tail bound (the contiguous
 			// initial assignment has no task queue, section 4.1).
 			e.Work(p, atomicOpCycles)
-			c, ok := n.bands.TakeOwn(p.ID)
+			c, ok := n.plan.Bands.TakeOwn(p.ID)
 			band := p.ID
 			if !ok && !n.opt.DisableSteal {
 				// Stealing mutates another band's bounds: that takes the
 				// steal lock (section 4.4).
 				e.Acquire(p, &n.bandLock)
 				e.Work(p, queueOpCycles)
-				if cs, vb, oks := n.bands.TakeSteal(); oks {
+				if cs, vb, oks := n.plan.Bands.TakeSteal(); oks {
 					c, band, ok = cs, vb, true
 					st.steals++
 				}
@@ -308,13 +225,8 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 		before := st.ccCnt.Samples
 		cyc := st.cc.Scanline(st.row, &st.ccCnt)
 		e.Work(p, cyc)
-		if n.profiling {
-			e.Work(p, newalg.ProfileOverheadCycles(cyc))
-			if st.ccCnt.Samples == before {
-				n.newProfile[st.row] = 0
-			} else {
-				n.newProfile[st.row] = cyc
-			}
+		if n.plan.Profiling {
+			e.Work(p, n.plan.Record(st.row, cyc, st.ccCnt.Samples != before))
 			st.tracer.Write(n.w.ProfileArray(), st.row, 1)
 		}
 		e.DrainTracer(p)
@@ -323,7 +235,7 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 			st.hasChunk = false
 			// Per-band completion counter: an atomic decrement.
 			e.Work(p, atomicOpCycles)
-			done := n.bands.MarkDone(st.chunkBand, st.chunk.Hi-st.chunk.Lo)
+			done := n.plan.Bands.MarkDone(st.chunkBand, st.chunk.Hi-st.chunk.Lo)
 			if done {
 				e.CondSignal(&n.conds[st.chunkBand], p.Clock)
 			}
@@ -376,7 +288,12 @@ func (n *newSim) Step(e *simengine.Engine, p *simengine.Proc) bool {
 				n.wu.take(e)
 			}
 		}
-		n.finishFrame(st.frame)
+		if st.frame == n.inited {
+			// The first processor past the frame barrier commits the
+			// frame's profile (later calls are no-ops); once one has
+			// planned the next frame, the check keeps the rest out.
+			n.plan.Commit()
+		}
 		st.frame++
 		st.phase = npInit
 		return true

@@ -16,7 +16,6 @@ type OldOptions struct {
 	Machine   machines.Machine
 	Procs     int
 	ChunkSize int // 0 = oldalg.DefaultChunkSize
-	TileSize  int // 0 = 32
 }
 
 // oldPhase enumerates the per-processor state machine.
@@ -73,14 +72,10 @@ func RunOld(w *Workload, opt OldOptions) *Result {
 
 // SVMOptions configures a run on the shared-virtual-memory platform.
 type SVMOptions struct {
-	Procs     int
-	Cfg       svmsim.Config // zero value selects svmsim.Default
-	ChunkSize int           // old algorithm compositing chunk
-	TileSize  int           // old algorithm warp tile
-	// New-algorithm knobs.
+	Procs int
+	Cfg   svmsim.Config // zero value selects svmsim.Default
+	// New-algorithm knobs, as in NewOptions.
 	StealChunk   int
-	ReprofileDeg float64
-	DisableSteal bool
 	ForceBarrier bool
 }
 
@@ -98,7 +93,7 @@ func (o *SVMOptions) normalize() {
 func RunOldSVM(w *Workload, opt SVMOptions) *Result {
 	opt.normalize()
 	be := svmBackend{sys: svmsim.New(opt.Cfg)}
-	old := OldOptions{Procs: opt.Procs, ChunkSize: opt.ChunkSize, TileSize: opt.TileSize}
+	old := OldOptions{Procs: opt.Procs}
 	return runOld(w, old, be, opt.Cfg.BarrierCost, opt.Cfg.LockCost)
 }
 
@@ -141,16 +136,7 @@ func (o *oldSim) ensureFrame(e *simengine.Engine, p *simengine.Proc, idx int) {
 	}
 	// The old algorithm blindly composites the whole intermediate image.
 	o.queue = par.NewInterleaved(0, o.fr.M.H, chunk, o.opt.Procs)
-	ts := o.opt.TileSize
-	if ts < 1 {
-		ts = 32
-	}
-	o.tiles = o.tiles[:0]
-	for y := 0; y < o.fr.Out.H; y += ts {
-		for x := 0; x < o.fr.Out.W; x += ts {
-			o.tiles = append(o.tiles, [4]int{x, y, min(x+ts, o.fr.Out.W), min(y+ts, o.fr.Out.H)})
-		}
-	}
+	o.tiles = par.TileGrid(o.tiles, o.fr.Out.W, o.fr.Out.H, oldalg.TileSize)
 	e.Work(p, frameSetupCycles)
 }
 

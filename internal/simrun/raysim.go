@@ -13,10 +13,13 @@ import (
 // uses the ray caster's good self-relative speedup as the foil for the old
 // shear warper's poor one (section 3.4.1).
 type RayOptions struct {
-	Machine  machines.Machine
-	Procs    int
-	TileSize int // 0 = 8
+	Machine machines.Machine
+	Procs   int
 }
+
+// rayTileSize is the edge, in pixels, of the ray caster's square image
+// tiles.
+const rayTileSize = 8
 
 type rayPhase int
 
@@ -62,9 +65,6 @@ func RunRayCast(w *Workload, opt RayOptions) *Result {
 	if opt.Procs < 1 {
 		opt.Procs = 1
 	}
-	if opt.TileSize < 1 {
-		opt.TileSize = 8
-	}
 	w.resetImages()
 	prog := &raySim{w: w, opt: opt, inited: -1}
 	prog.rc, prog.tc = w.RayCaster() // register arrays before the segment snapshot
@@ -96,13 +96,7 @@ func (rs *raySim) ensureFrame(e *simengine.Engine, p *simengine.Proc, idx int) {
 	}
 	rs.inited = idx
 	rs.fr = rs.w.Frames[idx]
-	ts := rs.opt.TileSize
-	rs.tiles = rs.tiles[:0]
-	for y := 0; y < rs.fr.Out.H; y += ts {
-		for x := 0; x < rs.fr.Out.W; x += ts {
-			rs.tiles = append(rs.tiles, [4]int{x, y, min(x+ts, rs.fr.Out.W), min(y+ts, rs.fr.Out.H)})
-		}
-	}
+	rs.tiles = par.TileGrid(rs.tiles, rs.fr.Out.W, rs.fr.Out.H, rayTileSize)
 	rs.queue = par.NewInterleaved(0, len(rs.tiles), 1, rs.opt.Procs)
 	e.Work(p, frameSetupCycles)
 }

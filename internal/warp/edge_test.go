@@ -37,7 +37,7 @@ func TestRowSpanConstantV(t *testing.T) {
 
 func TestPartitionTasksWithEmptyRegion(t *testing.T) {
 	// All-equal boundaries: nothing composited, one background task.
-	tasks := PartitionTasks([]int{5, 5, 5})
+	tasks := partitionTasks([]int{5, 5, 5})
 	cover := 0
 	for _, tk := range tasks {
 		if tk.NeedLo <= tk.NeedHi {
@@ -52,7 +52,7 @@ func TestPartitionTasksWithEmptyRegion(t *testing.T) {
 
 func TestPartitionTasksAllEmptyButOne(t *testing.T) {
 	// Bands: empty, full, empty. Coverage and ownership must hold.
-	tasks := PartitionTasks([]int{0, 0, 40, 40})
+	tasks := partitionTasks([]int{0, 0, 40, 40})
 	sawInterior := false
 	for _, tk := range tasks {
 		if tk.NeedLo <= tk.NeedHi {
@@ -202,7 +202,7 @@ func TestRowSpanDegenerateBands(t *testing.T) {
 // the band range.
 func TestPartitionTasksSingleLineBands(t *testing.T) {
 	boundaries := []int{0, 1, 2, 3}
-	tasks := PartitionTasks(boundaries)
+	tasks := partitionTasks(boundaries)
 	if len(tasks) == 0 {
 		t.Fatal("no tasks")
 	}

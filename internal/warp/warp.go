@@ -319,7 +319,7 @@ const edgeGuard = 1.0 / (1 << 16)
 
 // Task is one unit of the new algorithm's warp phase: a v-axis ownership
 // band together with the compositing bands whose completion it depends on.
-// The decomposition of PartitionTasks guarantees:
+// The decomposition of TaskBuilder.Partition guarantees:
 //
 //   - the Bands of all tasks partition (-inf, +inf), so every final pixel
 //     (including background) is warped by exactly one processor;
@@ -340,13 +340,6 @@ type Task struct {
 	Sliver         bool
 }
 
-// PartitionTasks builds the warp tasks for a contiguous compositing
-// partition (boundaries[p]..boundaries[p+1] is processor p's band).
-func PartitionTasks(boundaries []int) []Task {
-	var tb TaskBuilder
-	return tb.Partition(boundaries)
-}
-
 // TaskBuilder builds warp tasks into reusable scratch so per-frame
 // partitioning never allocates in the steady state. The returned slice is
 // valid until the next Partition call on the same builder.
@@ -356,8 +349,9 @@ type TaskBuilder struct {
 	edges []float64
 }
 
-// Partition builds the warp tasks for a contiguous compositing partition,
-// reusing the builder's buffers.
+// Partition builds the warp tasks for a contiguous compositing partition
+// (boundaries[p]..boundaries[p+1] is processor p's band), reusing the
+// builder's buffers.
 func (tb *TaskBuilder) Partition(boundaries []int) []Task {
 	nb := len(boundaries) - 1
 	lo, hi := boundaries[0], boundaries[nb]

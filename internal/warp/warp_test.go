@@ -75,7 +75,7 @@ func TestTasksCoverEveryPixelExactlyOnce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		p := 1 + rng.Intn(8)
 		boundaries := randomBoundaries(rng, H, p)
-		tasks := PartitionTasks(boundaries)
+		tasks := partitionTasks(boundaries)
 		out := img.NewFinal(f.FinalW, f.FinalH)
 		ctx := NewCtx(f, m, out)
 		cover := make([]int, out.W*out.H)
@@ -128,7 +128,7 @@ func TestBandWarpEqualsTileWarp(t *testing.T) {
 		ctx := NewCtx(f, m, got)
 		H := m.H
 		boundaries := []int{0, H / 3, H - H/5, H}
-		for _, tk := range PartitionTasks(boundaries) {
+		for _, tk := range partitionTasks(boundaries) {
 			for y := 0; y < got.H; y++ {
 				if x0, x1, ok := ctx.RowSpan(y, tk.Band); ok {
 					ctx.WarpSpan(y, x0, x1, &cnt)
@@ -160,7 +160,7 @@ func TestTaskReadsWithinDeclaredNeeds(t *testing.T) {
 			}
 			return -1
 		}
-		for _, tk := range PartitionTasks(boundaries) {
+		for _, tk := range partitionTasks(boundaries) {
 			// Sample v values in the band and check the rows they read.
 			for s := 0; s < 50; s++ {
 				vLo := math.Max(tk.Band.VLo, -3)
@@ -193,7 +193,7 @@ func TestTaskReadsWithinDeclaredNeeds(t *testing.T) {
 func TestSliverOwnershipRule(t *testing.T) {
 	// Bands of 10 and 30 lines: the sliver at their boundary goes to the
 	// 10-line processor.
-	tasks := PartitionTasks([]int{0, 10, 40})
+	tasks := partitionTasks([]int{0, 10, 40})
 	var sliver *Task
 	for i := range tasks {
 		if tasks[i].Sliver {
@@ -214,7 +214,7 @@ func TestSliverOwnershipRule(t *testing.T) {
 	}
 
 	// Reversed sizes: sliver goes to processor 1.
-	tasks = PartitionTasks([]int{0, 30, 40})
+	tasks = partitionTasks([]int{0, 30, 40})
 	for _, tk := range tasks {
 		if tk.Sliver && tk.Owner != 1 {
 			t.Fatalf("sliver owner = %d, want 1", tk.Owner)
@@ -223,7 +223,7 @@ func TestSliverOwnershipRule(t *testing.T) {
 }
 
 func TestInteriorTasksNeedOnlyOwnBand(t *testing.T) {
-	tasks := PartitionTasks([]int{0, 20, 40, 60})
+	tasks := partitionTasks([]int{0, 20, 40, 60})
 	interior := 0
 	for _, tk := range tasks {
 		if tk.Sliver {
@@ -246,7 +246,7 @@ func TestInteriorTasksNeedOnlyOwnBand(t *testing.T) {
 }
 
 func TestSingleProcessorSingleTask(t *testing.T) {
-	tasks := PartitionTasks([]int{0, 50})
+	tasks := partitionTasks([]int{0, 50})
 	if len(tasks) != 1 {
 		t.Fatalf("tasks = %d, want 1", len(tasks))
 	}
@@ -306,6 +306,12 @@ func TestWarpSpanClipsToImage(t *testing.T) {
 
 // quick-driven property: for arbitrary monotone boundaries, tasks cover the
 // v axis exactly and owners are valid processors.
+// partitionTasks builds the warp tasks of a partition with a fresh builder.
+func partitionTasks(boundaries []int) []Task {
+	var tb TaskBuilder
+	return tb.Partition(boundaries)
+}
+
 func TestPartitionTasksQuick(t *testing.T) {
 	f := func(raw []uint8, procs uint8) bool {
 		p := int(procs)%8 + 1
@@ -315,7 +321,7 @@ func TestPartitionTasksQuick(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(len(raw)*31 + p)))
 		bd := randomBoundaries(rng, h, p)
-		tasks := PartitionTasks(bd)
+		tasks := partitionTasks(bd)
 		// Bands tile (-inf, inf): sorted by VLo, adjacent edges touch.
 		for i, tk := range tasks {
 			if tk.Owner < 0 || tk.Owner >= p {
