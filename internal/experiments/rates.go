@@ -69,9 +69,9 @@ func Inventory(l *Lab) []stats.Table {
 		{"old parallel algorithm (Lacroute/Singh)", "internal/oldalg + simrun.RunOld"},
 		{"new parallel algorithm (this paper)", "internal/newalg + simrun.RunNew"},
 		{"scanline cost profiling (section 4.2)", "composite.Ctx.Scanline cycle returns"},
-		{"cumulative-profile partitioning (4.3)", "newalg.Partition + par.PrefixSum"},
-		{"chunked task stealing (4.4)", "par.Bands + newalg.StealChunkSize"},
-		{"barrier-free warp (4.5, 5.5.2)", "warp.PartitionTasks + per-band conds"},
+		{"cumulative-profile partitioning (4.3)", "newalg.Planner: par.Scan + equal-area split"},
+		{"chunked task stealing (4.4)", "par.Bands, chunk from newalg.Planner"},
+		{"barrier-free warp (4.5, 5.5.2)", "newalg.Planner warp.Tasks + per-band conds"},
 		{"ray-casting baseline (Nieh & Levoy)", "internal/raycast + internal/octree"},
 		{"parallel ray caster on the simulator", "simrun.RunRayCast (tile queue + stealing)"},
 		{"parallel classification/encoding", "classify.ClassifyParallel + rle.EncodeParallel"},
