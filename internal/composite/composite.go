@@ -190,6 +190,8 @@ type Ctx struct {
 	// (see reach).
 	ktab      []sliceK
 	reachSign int
+
+	kargs kernelArgs // the amd64 pixel kernel's argument block
 }
 
 // lutSize is the resolution of the opacity-correction table; resampled
@@ -257,10 +259,10 @@ type liveIv struct {
 const laneZero = math.MinInt32
 
 // readPad is how many taps past a piece's last one (tap n) every tap source
-// must still be readable for: the four-wide kernel loads taps j..j+3 and
-// j+1..j+4 for pixel group j, and the last group of an n-pixel piece starts
+// must still be readable for: the eight-wide kernel loads taps j..j+7 and
+// j+1..j+8 for pixel group j, and the last group of an n-pixel piece starts
 // at most at n-1. The taps past n are masked to zero before any arithmetic.
-const readPad = 3
+const readPad = 7
 
 // laneSel resolves a liveIv tap-source code to the slice the kernel reads
 // its taps from.
@@ -331,7 +333,7 @@ func (c *Ctx) Bind(f *xform.Factorization, v *rle.Volume, m *img.Intermediate) {
 		c.sat = make([]int32, 0, m.W)
 	}
 	// A live piece spans at most Ni+1 pixels (tap indices -1..Ni), so
-	// lanes of Ni+2 cover any piece, plus the readPad taps the four-wide
+	// lanes of Ni+2 cover any piece, plus the readPad taps the eight-wide
 	// kernel loads past a piece's last one; the zero lane is made zeroed
 	// and never written, so shrinking reslices keep it zero.
 	if n := v.Ni + 2 + readPad; cap(c.vlane0) < n {
@@ -488,6 +490,7 @@ func (c *Ctx) scanlineUntraced(vRow int, cnt *Counters) int64 {
 	cnt.Cycles += CyclesPerLineSetup
 	V := c.V
 	c.initAct(vRow)
+	c.kernelRow(vRow)
 
 	// The slice loop accumulates its counter charges in locals and flushes
 	// them once per scanline: the totals are plain int64 sums, so batching

@@ -6,13 +6,13 @@ import (
 )
 
 // compositeLiveRef is the Go pixel kernel — what the untraced path runs off
-// amd64 and under -race, and the reference the SSE kernel (kernel_amd64.s)
-// is held to bit for bit: the exact float32 arithmetic of compositePixel per
-// pixel — same unpack tables, same grouping, same order — over the
-// precollected live pieces, reading each piece's four bilinear taps from its
-// tap sources with no bounds or validity branches: a tap outside the line's
-// valid-tap window is masked to the exact zero the reference reads there
-// (see outside).
+// amd64, without AVX2 and under -race, and the reference the AVX2 kernel
+// (kernel_amd64.s) is held to bit for bit: the exact float32 arithmetic of
+// compositePixel per pixel — same unpack tables, same grouping, same order —
+// over the precollected live pieces, reading each piece's four bilinear
+// taps from its tap sources with no bounds or validity branches: a tap
+// outside the line's valid-tap window is masked to the exact zero the
+// reference reads there (see outside).
 //
 // One loop serves both blend ops. Composite (and isosurface) over-blends
 // front to back, with the opacity-correction LUT when enabled, and collects

@@ -139,7 +139,7 @@ func genVisit(rng *rand.Rand, mip, lut bool) (a, b *Ctx, g sliceGeom) {
 	return mk(m), mk(m2), g
 }
 
-// The pixel kernel the untraced path runs (SSE2 on amd64) must equal the Go
+// The pixel kernel the untraced path runs (AVX2 on amd64) must equal the Go
 // reference bit for bit in every pixel and count for count in Samples,
 // EmptyPixels and the saturated pixels, in order.
 func FuzzKernelMatchesReference(f *testing.F) {
@@ -154,6 +154,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		for visit := range 16 {
 			got, want, g := genVisit(rng, mip, lut)
 			var cg, cw Counters
+			got.kernelRow(1)
 			got.compositeLive(1, &g, &cg)
 			want.compositeLiveRef(1, &g, &cw)
 			if cg != cw {
@@ -186,7 +187,7 @@ func oneVoxelRuns(n int) *vol.Volume {
 	return v
 }
 
-// Every tap load of the four-wide kernel — up to readPad taps past a
+// Every tap load of the eight-wide kernel — up to readPad taps past a
 // piece's last — must stay inside the piece's tap source: the voxel stream
 // for an in-place piece (B+n+readPad < len(Vox)), its lane for a staged or
 // zero-lane one. Checked on every slice visit of 240-view rotations.
@@ -267,6 +268,7 @@ func visitSlices(c *Ctx, vRow int, check func(k int, g *sliceGeom, line *[2][3][
 	V := c.V
 	var cnt Counters
 	c.initAct(vRow)
+	c.kernelRow(vRow)
 	lo, hi := c.reach(vRow)
 	for idx := lo; idx < hi && len(c.act) > 0; idx++ {
 		k := c.F.KFront + idx*c.F.KStep
@@ -308,7 +310,7 @@ func visitSlices(c *Ctx, vRow int, check func(k int, g *sliceGeom, line *[2][3][
 // shows (CT pieces average 3 pixels).
 func BenchmarkKernel(b *testing.B) {
 	for _, mode := range []rendermode.Mode{rendermode.Composite, rendermode.MIP} {
-		for _, n := range []int{1, 3, 7, 16, 64} {
+		for _, n := range []int{1, 3, 5, 7, 8, 9, 16, 64} {
 			for _, impl := range []string{"kernel", "ref"} {
 				b.Run(fmt.Sprintf("%v/n=%d/%s", mode, n, impl), func(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
@@ -336,6 +338,7 @@ func BenchmarkKernel(b *testing.B) {
 						kernel = c.compositeLiveRef
 					}
 					var cnt Counters
+					c.kernelRow(0)
 					b.ResetTimer()
 					for range b.N {
 						clear(m.Pix)
@@ -346,5 +349,94 @@ func BenchmarkKernel(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkLaneOccupancy walks whole frames' slice visits — the six
+// modes-128 scenes (MRI and CT at 128³, composite, MIP and isosurface, at
+// golden-angle views) and a 256³ MRI rotation at pitch 15° — and reports
+// per frame the live visits, the pieces per live visit, the pixels per
+// piece, and the pixel groups per piece of a four- and of an eight-wide
+// kernel: how full the kernel's lanes run. Each frame composites as the
+// renderer does, so saturation shortens later pieces the same way.
+func BenchmarkLaneOccupancy(b *testing.B) {
+	type scene struct {
+		name  string
+		n     int
+		ct    bool
+		mode  rendermode.Mode
+		views [][2]float64 // yaw and pitch, degrees
+	}
+	var scenes []scene
+	for _, ct := range []bool{false, true} {
+		for _, mode := range []rendermode.Mode{rendermode.Composite, rendermode.MIP, rendermode.Isosurface} {
+			s := scene{name: fmt.Sprintf("mri128-%v", mode), n: 128, ct: ct, mode: mode}
+			if ct {
+				s.name = fmt.Sprintf("ct128-%v", mode)
+			}
+			for i := range 64 {
+				k := float64(i + 1000*len(scenes))
+				_, frac := math.Modf(k * 0.618033988749895)
+				s.views = append(s.views, [2]float64{math.Mod(k*137.50776405, 360), -30 + 60*frac})
+			}
+			scenes = append(scenes, s)
+		}
+	}
+	rot := scene{name: "mri256-rotate", n: 256}
+	for i := range 120 {
+		rot.views = append(rot.views, [2]float64{float64(3 * i), 15})
+	}
+	scenes = append(scenes, rot)
+
+	for _, s := range scenes {
+		b.Run(s.name, func(b *testing.B) {
+			v := vol.MRIBrain(s.n)
+			var opt classify.Options
+			if s.ct {
+				v = vol.CTHead(s.n)
+				opt.Transfer = classify.CTTransfer
+			}
+			if s.mode == rendermode.Isosurface {
+				opt.Transfer = classify.IsoTransfer(classify.DefaultIsoThreshold)
+			}
+			cl := classify.Classify(v, opt)
+			enc := map[xform.Axis]*rle.Volume{}
+			fs := make([]xform.Factorization, len(s.views))
+			for i, vw := range s.views {
+				fs[i] = xform.Factorize(v.Nx, v.Ny, v.Nz, xform.ViewMatrix(v.Nx, v.Ny, v.Nz, vw[0]*math.Pi/180, vw[1]*math.Pi/180))
+				if enc[fs[i].Axis] == nil {
+					enc[fs[i].Axis] = rle.Encode(cl, fs[i].Axis)
+				}
+			}
+			c := &Ctx{}
+			var visits, pieces, pixels, groups4, groups8 int64
+			count := func(int, *sliceGeom, *[2][3][]int32) {
+				if len(c.live) > 0 {
+					visits++
+				}
+				for _, iv := range c.live {
+					n := int64(iv.Hi - iv.Lo)
+					pieces++
+					pixels += n
+					groups4 += (n + 3) / 4
+					groups8 += (n + 7) / 8
+				}
+			}
+			b.ResetTimer()
+			for i := range b.N {
+				f := &fs[i%len(fs)]
+				c.Bind(f, enc[f.Axis], img.NewIntermediate(f.IntW, f.IntH))
+				c.Mode = s.mode
+				for vRow := range f.IntH {
+					visitSlices(c, vRow, count)
+				}
+			}
+			frames, p := float64(b.N), float64(pieces)
+			b.ReportMetric(float64(visits)/frames, "visits/frame")
+			b.ReportMetric(p/float64(visits), "pieces/visit")
+			b.ReportMetric(float64(pixels)/p, "pixels/piece")
+			b.ReportMetric(float64(groups4)/p, "groups4/piece")
+			b.ReportMetric(float64(groups8)/p, "groups8/piece")
+		})
 	}
 }
