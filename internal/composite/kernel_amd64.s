@@ -203,18 +203,6 @@ piece:
 	SHLQ $4, R8
 	ADDQ R8, R9
 
-	// Start the line 1 taps of the piece after next on their way: line 0
-	// was usually line 1 of the row before.
-	LEAQ (2*liveIv__size)(SI), R8
-	CMPQ R8, CX
-	JAE nopf
-	MOVLQSX liveIv_B1(R8), R11
-	TESTQ R11, R11
-	JS nopf
-	MOVQ kernelArgs_vox(DI), AX
-	PREFETCHT0 (AX)(R11*4)
-
-nopf:
 	SOURCE(liveIv_B0, kernelArgs_lane0, AX, l0neg, l0zero, l0done)
 	SOURCE(liveIv_B1, kernelArgs_lane1, DX, l1neg, l1zero, l1done)
 
