@@ -219,7 +219,6 @@ type Renderer struct {
 	nr  *newalg.Renderer // cross-frame state for NewParallel
 	rc  *raycast.Renderer
 	own *telemetry.FrameSpans // the recorder cfg.CollectStats asks for; nil otherwise
-	sr  *telemetry.FrameSpans // the attached recorder: own, or the caller's; nil when none
 	pb  PhaseBreakdown        // storage the last frame's breakdown is derived into
 	bd  *PhaseBreakdown       // &pb once a frame has been accounted, nil otherwise
 }
@@ -299,9 +298,6 @@ func isoThreshold(cfg Config) uint8 {
 }
 
 func newRenderer(v *vol.Volume, cfg Config) *Renderer {
-	if cfg.Procs < 1 {
-		cfg.Procs = 1
-	}
 	opt := render.Options{
 		OpacityCorrection: cfg.OpacityCorrection,
 		PreprocProcs:      cfg.Procs,
@@ -346,20 +342,13 @@ func newRendererFrom(r *render.Renderer, cfg Config) *Renderer {
 }
 
 // SetFaultInjector attaches (or, with nil, detaches) a fault injector to
-// every layer of this renderer's pipeline. Call it between frames only.
-func (re *Renderer) SetFaultInjector(in *faultinject.Injector) {
-	re.cfg.Faults = in
-	re.r.Faults = in
-	if re.nr != nil {
-		re.nr.Faults = in
-	}
-}
+// this renderer's frames. Call it between frames only.
+func (re *Renderer) SetFaultInjector(in *faultinject.Injector) { re.r.Faults = in }
 
 // SetSpanRecorder attaches (or, with nil, detaches) a per-request span
-// recorder to every layer of this renderer's pipeline: subsequent frames
-// record one timestamped span per worker phase into it (the render
-// service's per-request traces), and LastBreakdown is derived from those
-// spans. Like the fault injector it follows the nil-checked
+// recorder to this renderer's frames: subsequent frames record one
+// timestamped span per worker phase into it (the render service's
+// per-request traces), and LastBreakdown is derived from those spans. Like the fault injector it follows the nil-checked
 // instrumentation contract — detached, the frame loop performs no extra
 // clock reads and allocates nothing (a Config.CollectStats renderer falls
 // back to its own recorder instead). Call it between frames only; the
@@ -369,11 +358,7 @@ func (re *Renderer) SetSpanRecorder(sr *telemetry.FrameSpans) {
 	if sr == nil {
 		sr = re.own
 	}
-	re.sr = sr
 	re.r.Spans = sr
-	if re.nr != nil {
-		re.nr.Spans = sr
-	}
 }
 
 // Close releases the renderer's persistent worker goroutines (NewParallel
@@ -422,17 +407,16 @@ func (re *Renderer) validateView(yawDeg, pitchDeg, yaw, pitch float64) (f xform.
 	return f, nil
 }
 
-// renderRayCast runs the image-order baseline with panic containment (it
-// has no cooperative cancel points; the context is checked only between
-// phases).
-func (re *Renderer) renderRayCast(yaw, pitch float64, cnt *raycast.Counters) (out *img.Final, err error) {
+// renderRayCast runs the image-order baseline over the view's
+// factorization with panic containment (it has no cooperative cancel
+// points; the context is checked only before it starts).
+func (re *Renderer) renderRayCast(f *xform.Factorization, cnt *raycast.Counters) (out *img.Final, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			out, err = nil, render.NewFrameError(0, "raycast", -1, v)
 		}
 	}()
-	fr := re.r.Setup(yaw, pitch)
-	return re.rc.Render(&fr.F, cnt), nil
+	return re.rc.Render(f, cnt), nil
 }
 
 // RenderCtx is Render with request validation, cooperative cancellation
@@ -452,17 +436,25 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 	}
 	info := FrameInfo{Transparent: re.r.Classified.TransparentFrac()}
 	re.bd = nil
-	if re.sr != nil && re.sr == re.own {
-		re.own.Reset(time.Now())
+	sr := re.r.Spans
+	if sr != nil && sr == re.own {
+		sr.Reset(time.Now())
 	}
 	// The frame's spans are the ones recorded from here on: a caller's
 	// recorder may already hold request-lane spans or earlier frames.
-	mark, dropped := len(re.sr.Spans()), re.sr.Dropped()
+	mark, dropped := len(sr.Spans()), sr.Dropped()
 	var out *img.Final
 	switch re.cfg.Algorithm {
-	case OldParallel:
-		res, err := oldalg.RenderCtx(ctx, re.r, yaw, pitch,
-			oldalg.Config{Procs: re.cfg.Procs, Faults: re.cfg.Faults, Spans: re.sr})
+	case OldParallel, NewParallel:
+		var res *render.Result
+		if re.nr != nil {
+			var nres *newalg.Result
+			if nres, err = re.nr.RenderFrameCtx(ctx, yaw, pitch); err == nil {
+				res, info.Profiled = &nres.Result, nres.Profiled
+			}
+		} else {
+			res, err = oldalg.RenderCtx(ctx, re.r, yaw, pitch, oldalg.Config{Procs: re.cfg.Procs})
+		}
 		if err != nil {
 			return nil, FrameInfo{}, err
 		}
@@ -471,39 +463,20 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 		info.Cycles = st.TotalCycles()
 		info.Samples = st.Composite.Samples
 		info.Scanlines = st.Composite.Scanlines
-		for _, ps := range res.PerProc {
-			info.Steals += ps.Steals
-		}
-		rows := re.account(re.cfg.Procs, mark, dropped)
-		for i := range rows {
+		rows := re.account(len(res.PerProc), mark, dropped)
+		for i := range res.PerProc {
 			ps := &res.PerProc[i]
-			countInto(&rows[i], &ps.Composite, &ps.Warp, ps.Chunks, ps.Steals)
-		}
-	case NewParallel:
-		res, err := re.nr.RenderFrameCtx(ctx, yaw, pitch)
-		if err != nil {
-			return nil, FrameInfo{}, err
-		}
-		st := res.Stats()
-		out = res.Out
-		info.Cycles = st.TotalCycles()
-		info.Samples = st.Composite.Samples
-		info.Scanlines = st.Composite.Scanlines
-		info.Profiled = res.Profiled
-		for _, ps := range res.PerProc {
 			info.Steals += ps.Steals
-		}
-		rows := re.account(re.cfg.Procs, mark, dropped)
-		for i := range rows {
-			ps := &res.PerProc[i]
-			countInto(&rows[i], &ps.Composite, &ps.Warp, ps.Chunks, ps.Steals)
+			if rows != nil {
+				countInto(&rows[i], &ps.Composite, &ps.Warp, ps.Chunks, ps.Steals)
+			}
 		}
 	case RayCast:
 		if err := ctx.Err(); err != nil {
 			return nil, FrameInfo{}, err
 		}
 		var cnt raycast.Counters
-		o, err := re.renderRayCast(yaw, pitch, &cnt)
+		o, err := re.renderRayCast(&f, &cnt)
 		if err != nil {
 			return nil, FrameInfo{}, err
 		}
@@ -535,7 +508,8 @@ func (re *Renderer) RenderCtx(ctx context.Context, yawDeg, pitchDeg float64) (*I
 // dropped spans during the frame.
 func (re *Renderer) account(workers, mark int, dropped int64) []perf.WorkerBreakdown {
 	fb := &re.pb.fb
-	if re.sr == nil || !telemetry.Breakdown(fb, workers, re.sr.Spans()[mark:], re.sr.Dropped()-dropped) {
+	sr := re.r.Spans
+	if sr == nil || !telemetry.Breakdown(fb, workers, sr.Spans()[mark:], sr.Dropped()-dropped) {
 		return nil
 	}
 	fb.Algorithm = re.cfg.Algorithm.String()

@@ -105,7 +105,7 @@ func BenchmarkNewParallelFramePerf(b *testing.B) {
 	nr := newalg.NewRenderer(r, newalg.Config{Procs: 4})
 	epoch := time.Now()
 	fs := telemetry.NewFrameSpans(epoch)
-	nr.Spans = fs
+	nr.R.Spans = fs
 	var fb perf.FrameBreakdown
 	const step = 3 * math.Pi / 180
 	pitch := 15 * math.Pi / 180

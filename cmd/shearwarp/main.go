@@ -94,8 +94,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// The execution trace likewise covers only the render loop; each frame
-	// shows up as a "shearwarp.frame" task with per-phase regions.
+	// The execution trace likewise covers only the render loop. It shows
+	// the runtime (scheduler, GC, goroutines); -spans shows the phases.
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {

@@ -73,7 +73,7 @@ func TestCancelAtPhaseBoundaries(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			in.SetCancel(cancel)
-			nr.Faults = in
+			nr.R.Faults = in
 
 			res, err := nr.RenderFrameCtx(ctx, 0.5, 0.25)
 			if !in.Fired() {
@@ -93,7 +93,7 @@ func TestCancelAtPhaseBoundaries(t *testing.T) {
 
 			// The renderer must be reusable: next frame, clean context,
 			// byte-identical to golden.
-			nr.Faults = nil
+			nr.R.Faults = nil
 			res2, err := nr.RenderFrameCtx(context.Background(), 0.5, 0.25)
 			if err != nil {
 				t.Fatalf("frame after cancellation failed: %v", err)
@@ -131,7 +131,7 @@ func TestWorkerPanicBecomesFrameError(t *testing.T) {
 				Kind: faultinject.KindPanic, Site: tc.site,
 				Worker: -1, Band: -1, Hit: tc.hit,
 			})
-			nr.Faults = in
+			nr.R.Faults = in
 
 			res, err := nr.RenderFrameCtx(context.Background(), 0.5, 0.25)
 			if in.Fired() {
@@ -152,7 +152,7 @@ func TestWorkerPanicBecomesFrameError(t *testing.T) {
 				t.Fatalf("site %s never fired but frame failed: %v", tc.site, err)
 			}
 
-			nr.Faults = nil
+			nr.R.Faults = nil
 			res2, err := nr.RenderFrameCtx(context.Background(), 0.5, 0.25)
 			if err != nil {
 				t.Fatalf("frame after panic failed: %v", err)
@@ -175,7 +175,7 @@ func TestExternalContextCancel(t *testing.T) {
 	nr := NewRenderer(r, Config{Procs: procs})
 	defer nr.Close()
 
-	nr.Faults = faultinject.New(faultinject.Rule{
+	nr.R.Faults = faultinject.New(faultinject.Rule{
 		Kind: faultinject.KindDelay, Site: "scanline",
 		Worker: -1, Band: -1, Hit: 3, Delay: 200 * time.Millisecond,
 	})
@@ -192,7 +192,7 @@ func TestExternalContextCancel(t *testing.T) {
 		t.Fatalf("cancelled frame took %v", d)
 	}
 
-	nr.Faults = nil
+	nr.R.Faults = nil
 	if _, err := nr.RenderFrameCtx(context.Background(), 0.5, 0.25); err != nil {
 		t.Fatalf("frame after external cancel failed: %v", err)
 	}

@@ -61,12 +61,11 @@ type viewKey struct {
 // between profiles (0 = 15°), and granBytes is the coherence granularity
 // (cache line or page) the steal heuristic coarsens for above 64 bytes.
 func NewPlanner(cfg Config, stealChunk int, reprofileDeg float64, granBytes int) Planner {
-	cfg.normalize()
 	if reprofileDeg == 0 {
 		reprofileDeg = 15
 	}
 	return Planner{
-		procs:      cfg.Procs,
+		procs:      render.Workers(cfg.Procs),
 		always:     cfg.AlwaysProfile,
 		stealChunk: stealChunk,
 		granBytes:  granBytes,

@@ -14,28 +14,40 @@ import (
 )
 
 // TestRenderCtxPanicBecomesFrameError injects panics at each of the old
-// algorithm's phase sites, requiring a typed error, no stranded peers at
-// the inter-phase barrier, and byte-identical output afterwards.
+// algorithm's phase sites, requiring a typed error naming the phase, no
+// stranded peers at the inter-phase barrier, and byte-identical output
+// afterwards.
 func TestRenderCtxPanicBecomesFrameError(t *testing.T) {
 	const procs = 4
 	r := render.New(vol.MRIBrain(32), render.Options{})
 	want, _ := r.RenderSerial(0.5, 0.25)
 
-	for _, site := range []string{"setup", "composite", "scanline", "barrier", "warp"} {
-		t.Run(site, func(t *testing.T) {
+	for _, tc := range []struct{ site, phase string }{
+		{"setup", "setup"},
+		{"composite", "composite"},
+		{"steal", "steal"},
+		{"scanline", ""}, // fires inside composite or steal
+		{"barrier", "barrier"},
+		{"warp", "warp"},
+	} {
+		t.Run(tc.site, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			in := faultinject.New(faultinject.Rule{
-				Kind: faultinject.KindPanic, Site: site, Worker: -1, Band: -1,
+				Kind: faultinject.KindPanic, Site: tc.site, Worker: -1, Band: -1,
 			})
-			res, err := RenderCtx(context.Background(), r, 0.5, 0.25,
-				Config{Procs: procs, Faults: in})
+			r.Faults = in
+			res, err := RenderCtx(context.Background(), r, 0.5, 0.25, Config{Procs: procs})
+			r.Faults = nil
 			if in.Fired() {
 				var fe *render.FrameError
 				if !errors.As(err, &fe) {
-					t.Fatalf("panic at %s: err = %v, want *render.FrameError", site, err)
+					t.Fatalf("panic at %s: err = %v, want *render.FrameError", tc.site, err)
+				}
+				if tc.phase != "" && fe.Phase != tc.phase {
+					t.Errorf("FrameError.Phase = %q, want %q", fe.Phase, tc.phase)
 				}
 			} else if err != nil || res == nil {
-				t.Fatalf("site %s never fired but frame failed: %v", site, err)
+				t.Fatalf("site %s never fired but frame failed: %v", tc.site, err)
 			}
 
 			res2, err := RenderCtx(context.Background(), r, 0.5, 0.25, Config{Procs: procs})
@@ -43,7 +55,7 @@ func TestRenderCtxPanicBecomesFrameError(t *testing.T) {
 				t.Fatalf("frame after panic failed: %v", err)
 			}
 			if !img.Equal(want, res2.Out) {
-				t.Fatalf("frame after panic at %s differs from serial", site)
+				t.Fatalf("frame after panic at %s differs from serial", tc.site)
 			}
 
 			deadline := time.Now().Add(5 * time.Second)
@@ -70,7 +82,9 @@ func TestRenderCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	in.SetCancel(cancel)
-	res, err := RenderCtx(ctx, r, 0.5, 0.25, Config{Procs: procs, Faults: in})
+	r.Faults = in
+	res, err := RenderCtx(ctx, r, 0.5, 0.25, Config{Procs: procs})
+	r.Faults = nil
 	if !in.Fired() {
 		t.Fatal("cancel rule never fired")
 	}

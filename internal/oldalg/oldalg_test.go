@@ -129,7 +129,8 @@ func TestSpanCountBoundedByWorkers(t *testing.T) {
 		t.Fatalf("intermediate image has %d rows; the test needs more one-scanline chunks than the recorder's 512 slots", h)
 	}
 	fs := telemetry.NewFrameSpans(time.Now())
-	Render(r, 0, 0, Config{Procs: procs, Spans: fs})
+	r.Spans = fs
+	Render(r, 0, 0, Config{Procs: procs})
 	if fs.Dropped() != 0 {
 		t.Fatalf("recorder dropped %d spans", fs.Dropped())
 	}

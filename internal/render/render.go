@@ -1,15 +1,14 @@
 // Package render ties the shear-warp pipeline together: classification,
 // per-axis run-length encodings (cached, since they are view-independent),
 // factorization, compositing and warping. It provides the serial renderer
-// — the baseline all parallel algorithms must match bit-for-bit — and the
-// per-frame setup shared by the parallel implementations.
+// — the baseline all parallel algorithms must match bit-for-bit — and
+// what every algorithm's frame shares: the per-frame setup and the frame
+// lifecycle (cancellation, panic domains, phase marks; lifecycle.go).
 package render
 
 import (
 	"context"
 	"math"
-	rtrace "runtime/trace"
-	"time"
 
 	"shearwarp/internal/classify"
 	"shearwarp/internal/composite"
@@ -62,12 +61,14 @@ type Renderer struct {
 	// privately. The returned encodings must be immutable and equivalent
 	// to rle.Encode over Classified.
 	encodeFn func(xform.Axis) *rle.Volume
-	// Faults, when non-nil, injects deterministic faults into the serial
-	// render path (internal/faultinject). Nil-checked everywhere.
+	// Faults, when non-nil, injects deterministic faults at the fault
+	// sites of every frame this renderer runs, whatever the algorithm
+	// (internal/faultinject). Set it between frames only.
 	Faults *faultinject.Injector
-	// Spans, when non-nil, receives timestamped spans for the serial
-	// render path's phases (setup, composite, warp) on worker lane 0.
-	// Nil-checked at every site; swap only between frames.
+	// Spans, when non-nil, receives one timestamped span per worker phase
+	// of every frame this renderer runs — the raw material of the
+	// service's per-request traces and of telemetry.Breakdown. Detached,
+	// the frame loop reads no clock. Set it between frames only.
 	Spans *telemetry.FrameSpans
 }
 
@@ -241,87 +242,47 @@ func (r *Renderer) RenderSerial(yaw, pitch float64) (*img.Final, FrameStats) {
 }
 
 // RenderSerialCtx is RenderSerial with cooperative cancellation and
-// panic containment: the context is polled once per composited scanline
-// (and once before the warp), and a panic anywhere in the frame —
-// factorization of a degenerate view, a compositing invariant, an
-// injected fault — is recovered into a *FrameError. On error the returned
-// image is nil.
-func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64) (out *img.Final, st FrameStats, err error) {
-	if err := ctx.Err(); err != nil {
+// panic containment (see Lifecycle): the abort flag is polled once per
+// composited scanline and once before the warp, and a panic anywhere in
+// the frame — factorization of a degenerate view, a compositing
+// invariant, an injected fault — is recovered into a *FrameError. On
+// error the returned image is nil.
+func (r *Renderer) RenderSerialCtx(ctx context.Context, yaw, pitch float64) (*img.Final, FrameStats, error) {
+	var lc Lifecycle
+	if err := lc.Begin(ctx, r); err != nil {
 		return nil, FrameStats{}, err
 	}
-
-	phase := "setup"
-	defer func() {
-		if v := recover(); v != nil {
-			out, st, err = nil, FrameStats{}, NewFrameError(0, phase, -1, v)
-		}
-	}()
-
-	fi := r.Faults
-	sr := r.Spans
-	fi.Visit("setup", 0, -1)
-	// Each timed site reads the clock once: its span ends where the next
-	// one starts.
-	var t0 time.Time
-	if sr != nil {
-		t0 = time.Now()
+	var fr *Frame
+	var st FrameStats
+	if lc.Setup(func() { fr = r.Setup(yaw, pitch) }) {
+		serial(&lc, fr, &st)
 	}
-	fr := r.Setup(yaw, pitch)
-	if sr != nil {
-		now := time.Now()
-		sr.Record(-1, "setup", telemetry.CatRequest, t0, now.Sub(t0))
-		t0 = now
-	}
-
-	tctx := context.Background()
-	var task *rtrace.Task
-	if rtrace.IsEnabled() {
-		tctx, task = rtrace.NewTask(tctx, "shearwarp.frame")
-	}
-	defer func() {
-		if task != nil {
-			task.End()
-		}
-	}()
-
-	phase = "composite"
-	cc := fr.NewCompositeCtx()
-	reg := rtrace.StartRegion(tctx, "composite")
-	for vRow := 0; vRow < fr.M.H; vRow++ {
-		if ctx.Err() != nil {
-			reg.End()
-			return nil, FrameStats{}, ctx.Err()
-		}
-		if fi != nil {
-			fi.Visit("scanline", 0, -1)
-		}
-		cc.Scanline(vRow, &st.Composite)
-	}
-	reg.End()
-	if sr != nil {
-		now := time.Now()
-		sr.Record(0, "composite-own", telemetry.CatBusy, t0, now.Sub(t0))
-		t0 = now
-	}
-	if ctx.Err() != nil {
-		return nil, FrameStats{}, ctx.Err()
-	}
-	phase = "warp"
-	fi.Visit("warp", 0, -1)
-	wc := warp.NewCtx(&fr.F, fr.M, fr.Out)
-	reg = rtrace.StartRegion(tctx, "warp")
-	wc.WarpTile(0, 0, fr.Out.W, fr.Out.H, &st.Warp)
-	reg.End()
-	if sr != nil {
-		sr.Record(0, "warp", telemetry.CatBusy, t0, time.Since(t0))
-	}
-	// A cancellation during the warp loses the race against completion;
-	// honour the context anyway so a cancelled frame never reports success.
-	if err := ctx.Err(); err != nil {
+	if err := lc.End(ctx); err != nil {
 		return nil, FrameStats{}, err
 	}
 	return fr.Out, st, nil
+}
+
+// serial is the sequential schedule, run as worker 0: composite every
+// intermediate scanline top to bottom, then warp the whole final image.
+func serial(lc *Lifecycle, fr *Frame, st *FrameStats) {
+	w := lc.Worker(0, PhaseComposite)
+	defer w.Recover()
+	cc := fr.NewCompositeCtx()
+	for vRow := 0; vRow < fr.M.H; vRow++ {
+		if lc.Aborted.Load() {
+			return
+		}
+		w.Scanline()
+		cc.Scanline(vRow, &st.Composite)
+	}
+	w.Enter(PhaseWarp)
+	if lc.Aborted.Load() {
+		return
+	}
+	w.Visit(-1)
+	warp.NewCtx(&fr.F, fr.M, fr.Out).WarpTile(0, 0, fr.Out.W, fr.Out.H, &st.Warp)
+	w.End()
 }
 
 // Rotation returns n (yaw, pitch) viewpoints advancing stepDeg degrees of

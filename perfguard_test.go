@@ -98,7 +98,7 @@ func TestPerfDisabledByteIdentical(t *testing.T) {
 	inst := warmRenderer()
 	epoch := time.Now()
 	fs := telemetry.NewFrameSpans(epoch)
-	inst.Spans = fs
+	inst.R.Spans = fs
 	pitch := 15 * math.Pi / 180
 	for _, yawDeg := range []float64{30, 77, 141, 260} {
 		fs.Reset(epoch)
@@ -124,14 +124,14 @@ func TestPerfDisabledByteIdentical(t *testing.T) {
 func TestSpansDetachedZeroAllocs(t *testing.T) {
 	nr := warmRenderer()
 	fs := telemetry.NewFrameSpans(time.Now())
-	nr.Spans = fs
+	nr.R.Spans = fs
 	yaw := 50 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
 	nr.RenderFrame(yaw, pitch)
 	if len(fs.Spans()) == 0 {
 		t.Fatal("attached recorder captured no spans")
 	}
-	nr.Spans = nil
+	nr.R.Spans = nil
 	requireZeroAllocs(t, "detached recorder", func() {
 		yaw += 3 * math.Pi / 180
 		nr.RenderFrame(yaw, pitch)
@@ -144,7 +144,7 @@ func TestSpansAttachedSteadyStateZeroAllocs(t *testing.T) {
 	nr := warmRenderer()
 	fs := telemetry.NewFrameSpans(time.Now())
 	epoch := time.Now()
-	nr.Spans = fs
+	nr.R.Spans = fs
 	yaw := 50 * math.Pi / 180
 	pitch := 15 * math.Pi / 180
 	requireZeroAllocs(t, "attached recorder", func() {
@@ -163,7 +163,7 @@ func TestSpansByteIdentical(t *testing.T) {
 	traced := warmRenderer()
 	fs := telemetry.NewFrameSpans(time.Now())
 	epoch := time.Now()
-	traced.Spans = fs
+	traced.R.Spans = fs
 	pitch := 15 * math.Pi / 180
 	for _, yawDeg := range []float64{30, 77, 141, 260} {
 		fs.Reset(epoch)
@@ -184,7 +184,7 @@ func TestSpansByteIdentical(t *testing.T) {
 		}
 	}
 	// Detached again, the output still matches.
-	traced.Spans = nil
+	traced.R.Spans = nil
 	yaw := 200 * math.Pi / 180
 	a := plain.RenderFrame(yaw, pitch).Out
 	b := traced.RenderFrame(yaw, pitch).Out

@@ -184,9 +184,6 @@ func (pv *PreparedVolume) NewRenderer(cfg Config) (*Renderer, error) {
 	cfg.Transfer = pv.tf
 	cfg.Mode = pv.mode
 	cfg.IsoThreshold = pv.iso
-	if cfg.Procs < 1 {
-		cfg.Procs = 1
-	}
 	c, err := pv.classified()
 	if err != nil {
 		return nil, err

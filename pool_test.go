@@ -100,6 +100,31 @@ func TestPreparedVolumeSharesBuilds(t *testing.T) {
 	}
 }
 
+// TestRayCastBuildsNoEncodings: the ray caster samples the classified
+// volume directly, so a RayCast renderer rendering a view on each
+// principal axis builds no shear-warp encoding. A Serial renderer over
+// the same views is the control: it builds one encoding per axis.
+func TestRayCastBuildsNoEncodings(t *testing.T) {
+	views := [][2]float64{{0, 0}, {90, 0}, {0, 80}}
+	for _, tc := range []struct {
+		alg  Algorithm
+		want int64 // builds after the classification
+	}{{RayCast, 0}, {Serial, int64(len(views))}} {
+		cache := volcache.New(0)
+		r, err := preparedMRI(t, 24, cache).NewRenderer(Config{Algorithm: tc.alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cache.Snapshot().Builds
+		for _, v := range views {
+			r.Render(v[0], v[1])
+		}
+		if got := cache.Snapshot().Builds - before; got != tc.want {
+			t.Errorf("%v: %d builds after rendering, want %d", tc.alg, got, tc.want)
+		}
+	}
+}
+
 // TestRendererPoolLifecycle exercises Acquire/Release pairing, context
 // cancellation while the pool is empty, and Close waiting for an
 // outstanding renderer.
